@@ -47,8 +47,10 @@ from repro.synth.webgen import Page
 from repro.utils.clock import WorkerLanes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cascade.provenance import FrameProvenance
     from repro.core.revisit import RevisitMemory
     from repro.diff.differ import FrameDiffer
+    from repro.serve.tiers import Answer
 
 
 class BlockerProtocol(Protocol):
@@ -86,20 +88,31 @@ class BlockerProtocol(Protocol):
 class ServeBridgeProtocol(Protocol):
     """What async-mode serving needs (``repro.serve.RenderServeBridge``).
 
-    The renderer enqueues memo-missed frames during raster and drains
-    them after — one batched classification per chunk instead of a
-    forward pass per frame, with the verdicts (and their amortized
-    virtual costs) landing on the async lanes.
+    The renderer routes each decoded frame through the bridge's cheap
+    tiers (``route`` answers from a cascade rule or the shared memo and
+    names the tier that answered), enqueues the misses during raster
+    and drains them after — one batched classification per chunk
+    instead of a forward pass per frame, with the verdicts (and their
+    amortized virtual costs) landing on the async lanes.
     """
 
     def fingerprint(self, bitmap: np.ndarray) -> str:
         ...
 
-    def lookup(self, bitmap: np.ndarray, key: Optional[str] = None):
+    def route(
+        self,
+        bitmap: np.ndarray,
+        key: Optional[str] = None,
+        provenance: Optional["FrameProvenance"] = None,
+    ) -> Optional["Answer"]:
         ...
 
     def enqueue(
-        self, bitmap: np.ndarray, key: str, priority: int = 0
+        self,
+        bitmap: np.ndarray,
+        key: str,
+        priority: int = 0,
+        provenance: Optional["FrameProvenance"] = None,
     ) -> None:
         ...
 
@@ -458,24 +471,11 @@ class Renderer:
             keyed = _supports_keyed_verdicts(percival)
             fingerprint = percival.fingerprint if keyed else None
             decide = percival.decide if keyed else None
-            # cascade extensions, duck-typed so bridge stubs keep
-            # working: route() adds the rule tier in front of the memo,
-            # and enqueue() may accept the frame's provenance
-            bridge_route = getattr(serve_bridge, "route", None)
-            enqueue_takes_provenance = False
             node_by_url: Dict[str, object] = {}
             if serve_bridge is not None:
-                try:
-                    enqueue_takes_provenance = "provenance" in (
-                        inspect.signature(serve_bridge.enqueue).parameters
-                    )
-                except (TypeError, ValueError):
-                    enqueue_takes_provenance = False
-                if bridge_route is not None or enqueue_takes_provenance:
-                    node_by_url = {
-                        node.src: node
-                        for node in document.resource_elements()
-                    }
+                node_by_url = {
+                    node.src: node for node in document.resource_elements()
+                }
 
             def frame_provenance(item: Optional[DisplayItem]):
                 """Provenance of the frame the raster lane is decoding,
@@ -510,42 +510,25 @@ class Renderer:
                     # the bridge has one), then the shared memo; misses
                     # enqueue for the post-raster batched drain
                     item = touched_item[0]
+                    provenance = frame_provenance(item)
                     key = serve_bridge.fingerprint(bitmap)
-                    if bridge_route is not None:
-                        rule_hits_before = getattr(
-                            serve_bridge, "rule_hits", 0
-                        )
-                        cached_decision = bridge_route(
-                            bitmap, key=key,
-                            provenance=frame_provenance(item),
-                        )
-                        if cached_decision is not None:
-                            if getattr(
-                                serve_bridge, "rule_hits", 0
-                            ) > rule_hits_before:
-                                metrics.rule_hits += 1
-                            else:
-                                metrics.memo_hits += 1
-                            return cached_decision.is_ad
-                    else:
-                        cached_decision = serve_bridge.lookup(
-                            bitmap, key=key
-                        )
-                        if cached_decision is not None:
+                    answered = serve_bridge.route(
+                        bitmap, key=key, provenance=provenance
+                    )
+                    if answered is not None:
+                        if answered.tier == "rule":
+                            metrics.rule_hits += 1
+                        else:
                             metrics.memo_hits += 1
-                            return cached_decision.is_ad
+                        return answered.decision.is_ad
                     priority = (
                         PRIORITY_VIEWPORT
                         if item is None or item.y < VIEWPORT_HEIGHT
                         else PRIORITY_BELOW_FOLD
                     )
-                    if enqueue_takes_provenance:
-                        serve_bridge.enqueue(
-                            bitmap, key, priority,
-                            provenance=frame_provenance(item),
-                        )
-                    else:
-                        serve_bridge.enqueue(bitmap, key, priority)
+                    serve_bridge.enqueue(
+                        bitmap, key, priority, provenance=provenance
+                    )
                     frame_enqueued[0] = True
                     return False  # verdict lands at drain time
                 # fingerprint once per frame: the same key serves the
@@ -617,8 +600,6 @@ class Renderer:
             from repro.diff.snapshot import RegionRecord
 
             memo_probe = getattr(percival, "memoized_decision", None)
-            if memo_probe is None and serve_bridge is not None:
-                memo_probe = getattr(serve_bridge, "lookup", None)
             records = []
             for view in region_views:
                 inherited = inherited_by_url.get(view.url)

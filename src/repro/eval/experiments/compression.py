@@ -21,7 +21,7 @@ design navigates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.nn import (
     compile_inference,
 )
 from repro.utils.rng import spawn_rng
-from repro.utils.timing import measure_latency
+from repro.utils.timing import Timer
 
 
 @dataclass
@@ -103,6 +103,8 @@ def run_compression_ablation(
     ))
 
     variants: List[VariantResult] = []
+    #: one single-image runner per variant row, timed together at the end
+    runners: List[Callable[[], object]] = []
     rng = spawn_rng(seed, "ablate")
     probe = train.images[:1]
 
@@ -131,27 +133,31 @@ def run_compression_ablation(
         accuracy = trainer.evaluate(test.images, test.labels)
         ood_accuracy = trainer.evaluate(shifted.images, shifted.labels)
         network.eval()
-        latency = _deploy_latency(network, probe)
         variants.append(VariantResult(
             name=name,
             size_mb=model_size_mb(network),
-            latency_ms=latency,
+            latency_ms=0.0,  # timed below, with every other variant
             accuracy=accuracy,
             ood_accuracy=ood_accuracy,
         ))
+        runners.append(_deploy_runner(network, probe))
         if name == "percival (paper fork)":
             # real quantized variants of the trained fork: same
             # weights, fp16/int8 storage artifacts, artifact-compiled
             # plans — the ROADMAP's "quantized weights for the
             # inference plan" measured on the ablation's own axes.
-            variants.extend(
-                _quantized_variants(network, test, shifted, probe)
-            )
+            for variant, runner in _quantized_variants(
+                network, test, shifted, probe
+            ):
+                variants.append(variant)
+                runners.append(runner)
+    for variant, latency in zip(variants, _interleaved_latency_ms(runners)):
+        variant.latency_ms = latency
     return CompressionResult(variants)
 
 
-def _deploy_latency(network, probe: np.ndarray) -> float:
-    """Single-image latency through the deployed execution engine.
+def _deploy_runner(network, probe: np.ndarray) -> Callable[[], object]:
+    """One single-image classification through the deployed engine.
 
     Every variant row — baseline and quantized alike — is timed through
     the compiled inference plan (what the blocker actually runs), so
@@ -164,10 +170,34 @@ def _deploy_latency(network, probe: np.ndarray) -> float:
     try:
         plan = compile_inference(network)
     except UnsupportedLayerError:
-        return measure_latency(
-            lambda: network.forward(probe), repeats=3, warmup=1
-        )
-    return measure_latency(lambda: plan.run(probe), repeats=3, warmup=1)
+        return lambda: network.forward(probe)
+    return lambda: plan.run(probe)
+
+
+#: timing rounds per variant; sub-millisecond forwards need many
+#: samples before their medians order reliably
+LATENCY_ROUNDS = 51
+
+
+def _interleaved_latency_ms(
+    runners: List[Callable[[], object]], rounds: int = LATENCY_ROUNDS
+) -> List[float]:
+    """Median wall-clock latency (ms) of each runner.
+
+    Each round times every runner once, back to back, so a slow
+    stretch of a shared host lands on all variants alike instead of on
+    whichever one it happened to catch; one untimed warm-up call per
+    runner absorbs first-call costs.
+    """
+    for runner in runners:
+        runner()
+    samples: List[List[float]] = [[] for _ in runners]
+    for _ in range(rounds):
+        for runner, times in zip(runners, samples):
+            with Timer() as timer:
+                runner()
+            times.append(timer.elapsed_ms)
+    return [float(np.median(times)) for times in samples]
 
 
 def _plan_accuracy(plan, images: np.ndarray, labels: np.ndarray,
@@ -182,21 +212,22 @@ def _plan_accuracy(plan, images: np.ndarray, labels: np.ndarray,
     return correct / max(len(labels), 1)
 
 
-def _quantized_variants(network, test, shifted, probe) -> List[VariantResult]:
-    results: List[VariantResult] = []
+def _quantized_variants(
+    network, test, shifted, probe
+) -> List[Tuple[VariantResult, Callable[[], object]]]:
+    """(row, single-image runner) per quantized storage precision; the
+    caller fills in each row's latency."""
+    results = []
     for precision in ("fp16", "int8"):
         artifact = WeightArtifact.from_network(network, precision)
         plan = compile_inference(network, artifact=artifact)
-        latency = measure_latency(
-            lambda p=plan: p.run(probe), repeats=3, warmup=1
-        )
-        results.append(VariantResult(
+        results.append((VariantResult(
             name=f"percival fork @ {precision}",
             size_mb=artifact.nbytes / 2**20,
-            latency_ms=latency,
+            latency_ms=0.0,
             accuracy=_plan_accuracy(plan, test.images, test.labels),
             ood_accuracy=_plan_accuracy(
                 plan, shifted.images, shifted.labels
             ),
-        ))
+        ), lambda p=plan: p.run(probe)))
     return results

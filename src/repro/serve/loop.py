@@ -26,8 +26,9 @@ behind one scalar.  Dispatch tie-breaks on the lowest free lane index,
 which keeps the discrete-event schedule fully deterministic; one lane
 reproduces the pre-lane serializing loop exactly.
 
-Both drivers resolve duplicate work without spending compute on it.
-With a :class:`~repro.cascade.CascadeRouter` attached (``cascade=`` /
+Both drivers serve through one :class:`~repro.serve.tiers.TierChain`
+(as does the renderer's bridge), so they resolve duplicate work the
+same way, without spending compute on it.  With a :class:`~repro.cascade.CascadeRouter` attached (``cascade=`` /
 the ``PERCIVAL_CASCADE`` knob), a request carrying frame provenance is
 first offered to the **cascade rule tiers** — a structural verdict
 (compiled micro-rule or corroborated filterlist match) answers at
@@ -76,7 +77,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeHit, CascadeRouter, resolve_cascade
+from repro.cascade.router import CascadeRouter, resolve_cascade
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import (
     ServeSettings,
@@ -84,16 +85,11 @@ from repro.core.config import (
     configured_serve_settings,
 )
 from repro.diff.differ import FrameDiffer, resolve_differ
-from repro.diff.snapshot import RegionRecord
-from repro.resilience.chaos import (
-    ChaosCursor,
-    ChaosInjectedError,
-    ChaosSchedule,
-    resolve_chaos,
-)
+from repro.resilience.chaos import ChaosSchedule, resolve_chaos
 from repro.resilience.plane import ResiliencePlane, resolve_resilience
 from repro.serve.metrics import ServeStats
 from repro.serve.queue import PRIORITY_VIEWPORT, BatchQueue, ServeRequest
+from repro.serve.tiers import TierChain, _pool_capacity
 from repro.utils.clock import VirtualClock
 
 
@@ -114,16 +110,6 @@ class ServeClosedError(RuntimeError):
     closed front has drained its queue and released its executor, so
     admitting more work could only hang the caller.
     """
-
-
-def _pool_capacity(pool: object) -> int:
-    """Worker slots ``pool`` exposes right now (0 = no pool / no
-    capacity signal).  A non-blocking probe: duck-typed on the
-    ``available_capacity`` attribute so stub pools, closed pools, and
-    ``None`` all read as zero instead of raising."""
-    if pool is None:
-        return 0
-    return int(getattr(pool, "available_capacity", 0) or 0)
 
 
 @dataclass(frozen=True)
@@ -165,8 +151,9 @@ class ServeResult:
     #: verdict settled the request before fingerprinting — ``key`` is
     #: empty for these, no pixel hash was ever computed
     diff_hit: bool = False
-    #: answered by a cascade rule tier (no memo probe, no batch slot,
-    #: no lane time); ``rule_tier`` names which tier ("micro"/"list")
+    #: answered by a cascade rule tier (no fingerprint, no memo probe,
+    #: no batch slot, no lane time — ``key`` is empty for these too);
+    #: ``rule_tier`` names which tier ("micro"/"list")
     rule_hit: bool = False
     rule_tier: str = ""
     #: rode along with an identical queued fingerprint (no batch slot)
@@ -243,148 +230,6 @@ class BatchComputeModel:
         if batch_size <= 0:
             return 0.0
         return self.setup_ms + batch_size * self.per_image_ms
-
-
-def _feed_cascade_once(
-    cascade: CascadeRouter,
-    group: Sequence[ServeRequest],
-    decision: BlockDecision,
-) -> None:
-    """Feed one computed model verdict into the cascade exactly once.
-
-    A flush settles a leader plus its coalesced riders, but only one
-    verdict was computed for the group — feeding it back once per
-    settled request would hand the healer N observations for one
-    forward pass, enough to two-strike-invalidate a healthy rule from
-    a single frame.  The first open audit ticket in settle order wins
-    (leader first, riders in arrival order); with no ticket standing,
-    the first request carrying provenance absorbs the verdict.
-    """
-    for settled in group:
-        if settled.audit is not None:
-            cascade.reconcile(settled.audit, decision.is_ad)
-            return
-    for settled in group:
-        if settled.provenance is not None:
-            cascade.absorb(settled.provenance, decision)
-            return
-
-
-def _diff_recall(
-    differ: Optional[FrameDiffer],
-    session_id: str,
-    provenance: Optional[FrameProvenance],
-    content_key: str,
-) -> Optional[BlockDecision]:
-    """Diff-tier probe: the session snapshot's stored verdict for this
-    ``(page, url, content)`` triple, or ``None``.  Runs before the
-    fingerprint — a hit never hashes a pixel."""
-    if differ is None or provenance is None or not content_key:
-        return None
-    return differ.recall(
-        session_id, provenance.page_domain, provenance.url, content_key
-    )
-
-
-def _diff_remember(
-    differ: Optional[FrameDiffer],
-    session_id: str,
-    provenance: Optional[FrameProvenance],
-    content_key: str,
-    decision: Optional[BlockDecision],
-) -> None:
-    """Stream one settled model verdict into the session snapshot so
-    the next visit of the same region answers at the diff tier."""
-    if (
-        differ is None
-        or provenance is None
-        or not content_key
-        or decision is None
-    ):
-        return
-    differ.remember(
-        session_id,
-        provenance.page_domain,
-        RegionRecord(
-            url=provenance.url,
-            content_key=content_key,
-            width=provenance.width,
-            height=provenance.height,
-            is_ad=bool(decision.is_ad),
-            probability=float(decision.probability),
-        ),
-    )
-
-
-def _tier_available(
-    plane: Optional[ResiliencePlane],
-    cursor: Optional[ChaosCursor],
-    tier: str,
-    now_ms: float,
-    mutate: bool = True,
-) -> bool:
-    """Is speed tier ``tier`` consultable at ``now_ms``?
-
-    Three gates, in order: a chaos outage window over the tier, the
-    degradation ladder's brownout flags, and the tier's circuit
-    breaker.  ``mutate=False`` uses the breaker's non-mutating ``peek``
-    — feedback writes must not consume the half-open probe that the
-    serve path needs to heal the breaker.  With no plane and no cursor
-    every tier is available: the pre-resilience path, bit for bit.
-    """
-    if cursor is not None and cursor.tier_out(tier, now_ms):
-        return False
-    if plane is not None:
-        controller = plane.controller
-        if tier == "diff" and controller.diff_disabled:
-            return False
-        if tier == "cascade" and controller.cascade_disabled:
-            return False
-        breaker = plane.breakers.get(tier)
-        if breaker is not None:
-            return breaker.allow(now_ms) if mutate else breaker.peek(now_ms)
-    return True
-
-
-def _record_tier(
-    plane: Optional[ResiliencePlane], tier: str, now_ms: float, ok: bool
-) -> None:
-    """Feed one admitted tier call's outcome to its breaker; a trip is
-    also a pressure signal for the degradation ladder."""
-    if plane is None:
-        return
-    breaker = plane.breakers.get(tier)
-    if breaker is None:
-        return
-    before = breaker.trips
-    breaker.record(now_ms, ok)
-    if breaker.trips > before:
-        plane.controller.observe_pressure(f"{tier} breaker tripped")
-
-
-def _absorb_tier_error(
-    stats: ServeStats, plane: Optional[ResiliencePlane]
-) -> None:
-    """Count one absorbed tier failure on the run's ledger (and the
-    plane's cumulative one, when attached)."""
-    stats.tier_errors += 1
-    if plane is not None:
-        plane.tier_errors += 1
-
-
-def _guarded_feedback(
-    stats: ServeStats,
-    plane: Optional[ResiliencePlane],
-    fn: Callable[[], None],
-) -> None:
-    """Run one tier feedback write (diff remember / cascade feed) with
-    the request already settled.  Feedback is an optimization for
-    *future* requests — a raising write is absorbed and counted, never
-    allowed to orphan the settled request or take the flush down."""
-    try:
-        fn()
-    except Exception:
-        _absorb_tier_error(stats, plane)
 
 
 class ServeLoop:
@@ -468,18 +313,15 @@ class ServeLoop:
         events = sorted(events, key=lambda event: event.at_ms)
         queue = BatchQueue(self.settings)
         clock = VirtualClock()
-        stats = ServeStats(lanes=self.resolved_lanes())
-        if self.cascade is not None:
-            stats.cascade = self.cascade.stats
-        if self.differ is not None:
-            stats.diff = self.differ.stats
         cursor = self.chaos.cursor() if self.chaos is not None else None
         plane = self.resilience
-        controller = None
+        chain = TierChain(
+            self.blocker, self.cascade, self.differ, plane, cursor,
+            ServeStats(lanes=self.resolved_lanes()),
+        )
+        stats = chain.stats
         if plane is not None:
-            stats.resilience = plane
             plane.rebase(0.0)
-            controller = plane.controller
         results: List[ServeResult] = []
         pending: Dict[str, ServeRequest] = {}
         #: which ServeResult belongs to each queued request (leaders
@@ -492,20 +334,13 @@ class ServeLoop:
 
         while True:
             now = clock.now_ms
-            if cursor is not None:
-                fired = cursor.fire_due(now, pool=self.blocker.pool)
-                if fired and plane is not None:
-                    plane.note_chaos(fired)
-            if controller is not None:
-                controller.evaluate(now)
-                queue.deadline_scale = controller.deadline_scale
+            chain.tick(now, queue)
             free_lane = self._lowest_free_lane(lane_free, now)
             if free_lane is not None:
                 batch = queue.pop_batch(now)
                 if batch is not None:
                     lane_free[free_lane] = self._flush(
-                        batch, now, free_lane,
-                        pending, open_results, stats, cursor,
+                        chain, batch, now, free_lane, pending, open_results
                     )
                     continue
             arrival = events[index].at_ms if index < len(events) else None
@@ -540,13 +375,13 @@ class ServeLoop:
                 next_id += 1
                 results.append(
                     self._admit(
-                        event, next_id, clock.now_ms,
-                        queue, pending, open_results, stats, cursor,
+                        chain, event, next_id, clock.now_ms,
+                        queue, pending, open_results,
                     )
                 )
 
-        if controller is not None:
-            controller.finalize(clock.now_ms)
+        if plane is not None:
+            plane.controller.finalize(clock.now_ms)
         return ServeReport(
             results=results, stats=stats, makespan_ms=clock.now_ms
         )
@@ -563,259 +398,74 @@ class ServeLoop:
                 return lane
         return None
 
+    @staticmethod
     def _admit(
-        self,
+        chain: TierChain,
         event: ArrivalEvent,
         request_id: int,
         now_ms: float,
         queue: BatchQueue,
         pending: Dict[str, ServeRequest],
         open_results: Dict[int, ServeResult],
-        stats: ServeStats,
-        cursor: Optional[ChaosCursor] = None,
     ) -> ServeResult:
-        stats.submitted += 1
-        plane = self.resilience
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        if (
-            controller is not None
-            and controller.drop_below_fold
-            and event.priority > PRIORITY_VIEWPORT
-        ):
-            # ladder level 4+: below-the-fold frames are shed at
-            # admission — nothing visible is waiting on them, and the
-            # shed is an explicit ledger entry, not a silent drop
-            result = ServeResult(
-                request_id=request_id,
-                session_id=event.session_id,
-                key="",
-                arrival_ms=now_ms,
-                priority=event.priority,
-            )
-            result.shed = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            plane.degraded_sheds += 1
-            return result
-        recalled = None
-        if self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms
-        ):
-            if not protected:
-                recalled = _diff_recall(
-                    self.differ, event.session_id, event.provenance,
-                    event.content_key,
-                )
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error("diff"):
-                        raise ChaosInjectedError(
-                            "injected diff recall failure"
-                        )
-                    recalled = _diff_recall(
-                        self.differ, event.session_id, event.provenance,
-                        event.content_key,
-                    )
-                except Exception:
-                    recalled = None
-                    _absorb_tier_error(stats, plane)
-                    _record_tier(plane, "diff", now_ms, False)
-                else:
-                    _record_tier(plane, "diff", now_ms, True)
-        if recalled is not None:
-            # tier -1: the session's page snapshot — an unchanged
-            # region inherits its stored verdict before the bitmap is
-            # fingerprinted, let alone routed, probed, or queued
-            result = ServeResult(
-                request_id=request_id,
-                session_id=event.session_id,
-                key="",
-                arrival_ms=now_ms,
-                priority=event.priority,
-            )
-            result.decision = recalled
-            result.diff_hit = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.diff_hits += 1
-            stats.answered += 1
-            self._record_latency(stats, result)
-            return result
-        key = self.blocker.fingerprint(event.bitmap)
-        result = ServeResult(
-            request_id=request_id,
-            session_id=event.session_id,
-            key=key,
-            arrival_ms=now_ms,
-            priority=event.priority,
-        )
-        audit = None
-        if self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms
-        ):
-            routed = None
-            if not protected:
-                routed = self.cascade.route(event.provenance)
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error(
-                        "cascade"
-                    ):
-                        raise ChaosInjectedError(
-                            "injected cascade route failure"
-                        )
-                    routed = self.cascade.route(event.provenance)
-                except Exception:
-                    routed = None
-                    _absorb_tier_error(stats, plane)
-                    _record_tier(plane, "cascade", now_ms, False)
-                else:
-                    _record_tier(plane, "cascade", now_ms, True)
-            if isinstance(routed, CascadeHit):
-                # tier 0: cascade rule — answered at arrival, never
-                # consuming a memo probe, a batch slot, or lane time
-                result.decision = routed.decision
-                result.rule_hit = True
-                result.rule_tier = routed.tier
-                result.flush_ms = result.complete_ms = now_ms
-                stats.rule_hits += 1
-                stats.answered += 1
-                self._record_latency(stats, result)
-                return result
-            audit = routed
-        memo_live = cursor is None or not cursor.tier_out("memo", now_ms)
-        if memo_live and cursor is not None and cursor.take_tier_error(
-            "memo"
-        ):
-            # a memo probe is a dict lookup with no real failure mode;
-            # an injected memo error degrades to a one-shot miss
-            memo_live = False
-        cached = (
-            self.blocker.memoized_decision(key=key) if memo_live else None
-        )
-        if cached is not None:
-            # tier 1: shared memo — answered instantly, no queue entry
-            result.decision = cached
-            result.memo_hit = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.memo_hits += 1
-            stats.answered += 1
-            self._record_latency(stats, result)
-            if self.cascade is not None and _tier_available(
-                plane, cursor, "cascade", now_ms, mutate=False
-            ):
-                def feed_cascade() -> None:
-                    if audit is not None:
-                        self.cascade.reconcile(audit, cached.is_ad)
-                    else:
-                        self.cascade.absorb(event.provenance, cached)
-
-                if protected:
-                    _guarded_feedback(stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-            if self.differ is not None and _tier_available(
-                plane, cursor, "diff", now_ms, mutate=False
-            ):
-                def feed_diff() -> None:
-                    _diff_remember(
-                        self.differ, event.session_id, event.provenance,
-                        event.content_key, cached,
-                    )
-
-                if protected:
-                    _guarded_feedback(stats, plane, feed_diff)
-                else:
-                    feed_diff()
-            return result
-        if controller is not None and controller.shed_all:
-            # ladder level 5: the compute path is browned out entirely
-            # — every queue-bound request sheds (the cheap tiers above
-            # already had their chance to answer it)
-            result.shed = True
-            result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            plane.degraded_sheds += 1
-            return result
+        chain.stats.submitted += 1
         request = ServeRequest(
             request_id=request_id,
             session_id=event.session_id,
-            key=key,
+            key="",
             bitmap=event.bitmap,
             arrival_ms=now_ms,
             priority=event.priority,
             provenance=event.provenance,
-            audit=audit,
             content_key=event.content_key,
         )
-        leader = pending.get(key)
-        if leader is not None:
-            # tier 2: same fingerprint already queued — ride along
-            leader.coalesced.append(request)
-            result.coalesced = True
-            stats.coalesced += 1
-            open_results[request_id] = result
+        answered = chain.answer(request, now_ms)
+        result = ServeResult(
+            request_id=request_id,
+            session_id=event.session_id,
+            key=request.key,
+            arrival_ms=now_ms,
+            priority=event.priority,
+        )
+        if answered is not None:
+            # a cheap tier (or the ladder) settled it at arrival: no
+            # queue entry, no batch slot, no lane time
+            result.decision = answered.decision
+            result.shed = answered.tier == "shed"
+            result.diff_hit = answered.tier == "diff"
+            result.rule_hit = answered.tier == "rule"
+            result.rule_tier = answered.rule_tier
+            result.memo_hit = answered.tier == "memo"
+            result.flush_ms = result.complete_ms = now_ms
             return result
-        if not queue.offer(request, now_ms):
+        outcome = chain.enqueue(request, queue, pending, now_ms)
+        if outcome == "shed":
             result.shed = True
             result.flush_ms = result.complete_ms = now_ms
-            stats.shed += 1
-            if controller is not None:
-                controller.observe_pressure("queue overflow shed")
             return result
-        pending[key] = request
+        result.coalesced = outcome == "coalesced"
         open_results[request_id] = result
         return result
 
     def _flush(
         self,
+        chain: TierChain,
         batch: List[ServeRequest],
         now_ms: float,
         lane: int,
         pending: Dict[str, ServeRequest],
         open_results: Dict[int, ServeResult],
-        stats: ServeStats,
-        cursor: Optional[ChaosCursor] = None,
     ) -> float:
         """Dispatch one batch on the free compute lane ``lane``;
         returns the virtual time that lane frees up again."""
-        plane = self.resilience
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        bitmaps = [request.bitmap for request in batch]
-        keys = [request.key for request in batch]
-        pool = self.blocker.pool
-        capacity = _pool_capacity(pool)
-        # the pool breaker is consulted only when this flush would
-        # actually dispatch to the pool; an open breaker detaches the
-        # pool for exactly this decide_many, forcing the in-process
-        # path (bit-identical verdicts — batch composition invariance)
-        pool_eligible = (
-            pool is not None
-            and not getattr(pool, "closed", False)
-            and len(batch) >= self.blocker.shard_min_batch
-        )
-        bypass_pool = False
-        if plane is not None and pool_eligible:
-            bypass_pool = not plane.breakers["pool"].allow(now_ms)
-        fallbacks_before = getattr(self.blocker, "pool_fallbacks", 0)
-        if bypass_pool:
-            self.blocker.pool = None
-            plane.pool_bypassed += 1
         try:
-            decisions = self.blocker.decide_many(bitmaps, keys=keys)
+            decisions = chain.compute(batch, now_ms)
         except Exception:
-            if not protected:
+            if not chain.guarded:
                 raise
             # explicit failed batch: every member and rider settles
             # exactly once with failed=True, the lane frees at once,
             # and the conservation ledger stays balanced
-            if pool_eligible and not bypass_pool:
-                _record_tier(plane, "pool", now_ms, False)
-            if plane is not None:
-                plane.failed_batches += 1
-            if controller is not None:
-                controller.observe_pressure("batch classification failed")
             for request in batch:
                 pending.pop(request.key, None)
                 for settled in (request, *request.coalesced):
@@ -823,30 +473,12 @@ class ServeLoop:
                     result.failed = True
                     result.flush_ms = result.complete_ms = now_ms
                     result.lane = lane
-                    stats.failed += 1
+                    chain.stats.failed += 1
             return now_ms
-        finally:
-            if bypass_pool:
-                self.blocker.pool = pool
-        if pool_eligible and not bypass_pool:
-            # the blocker heals a pool failure silently (in-process
-            # fallback); the fallback counter is the breaker's only
-            # window into whether the pool actually dispatched
-            _record_tier(
-                plane, "pool", now_ms,
-                getattr(self.blocker, "pool_fallbacks", 0)
-                == fallbacks_before,
-            )
         cost_ms = float(self.compute_model(len(batch)))
-        if cursor is not None:
-            cost_ms *= cursor.latency_multiplier(now_ms)
+        if chain.cursor is not None:
+            cost_ms *= chain.cursor.latency_multiplier(now_ms)
         complete_ms = now_ms + cost_ms
-        diff_ok = self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms, mutate=False
-        )
-        cascade_ok = self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms, mutate=False
-        )
         for request, decision in zip(batch, decisions):
             pending.pop(request.key, None)
             group = (request, *request.coalesced)
@@ -856,49 +488,11 @@ class ServeLoop:
                 result.flush_ms = now_ms
                 result.complete_ms = complete_ms
                 result.lane = lane
-                stats.answered += 1
-                self._record_latency(stats, result)
-                if controller is not None:
-                    controller.observe_latency(result.latency_ms)
-            # feedback runs only after every member of the group is
-            # settled, so a raising tier write cannot orphan a rider
-            if diff_ok:
-                # every settled request refreshes its own session's
-                # snapshot — riders belong to other sessions/pages
-                for settled in group:
-                    def feed_diff(settled: ServeRequest = settled) -> None:
-                        _diff_remember(
-                            self.differ, settled.session_id,
-                            settled.provenance, settled.content_key,
-                            decision,
-                        )
-
-                    if protected:
-                        _guarded_feedback(stats, plane, feed_diff)
-                    else:
-                        feed_diff()
-            if cascade_ok:
-                # one computed verdict -> one healer observation,
-                # regardless of how many riders share the batch slot
-                def feed_cascade() -> None:
-                    _feed_cascade_once(self.cascade, group, decision)
-
-                if protected:
-                    _guarded_feedback(stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-        stats.batches += 1
-        stats.batched_requests += len(batch)
-        stats.capacity_samples.append(capacity)
-        stats.lane_busy_ms[lane] = stats.lane_busy_ms.get(lane, 0.0) + cost_ms
+                chain.settled(settled, now_ms, complete_ms)
+            chain.feedback(group, decision, now_ms)
+        busy = chain.stats.lane_busy_ms
+        busy[lane] = busy.get(lane, 0.0) + cost_ms
         return complete_ms
-
-    @staticmethod
-    def _record_latency(stats: ServeStats, result: ServeResult) -> None:
-        stats.queue_wait_ms.add(result.queue_wait_ms)
-        stats.service_ms.add(result.service_ms)
-        stats.total_ms.add(result.latency_ms)
-        stats.record_queue_wait(result.priority, result.queue_wait_ms)
 
 
 class AsyncServeFront:
@@ -952,20 +546,14 @@ class AsyncServeFront:
             blocker.classifier.config,
             chaos_active=self.chaos is not None,
         )
-        self._chaos_cursor = (
-            self.chaos.cursor() if self.chaos is not None else None
+        self._chain = TierChain(
+            blocker, self.cascade, self.differ, self.resilience,
+            self.chaos.cursor() if self.chaos is not None else None,
         )
-        self.stats = ServeStats()
-        if self.cascade is not None:
-            self.stats.cascade = self.cascade.stats
-        if self.differ is not None:
-            self.stats.diff = self.differ.stats
-        if self.resilience is not None:
-            self.stats.resilience = self.resilience
+        self.stats = self._chain.stats
         self._queue = BatchQueue(self.settings)
         self._pending: Dict[str, ServeRequest] = {}
         self._waiters: Dict[int, "asyncio.Future[BlockDecision]"] = {}
-        self._arrivals: Dict[int, float] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
         self._flush_handle: Optional[asyncio.Handle] = None
         self._origin_s: Optional[float] = None
@@ -992,157 +580,37 @@ class AsyncServeFront:
             )
         loop = asyncio.get_running_loop()
         now_ms = self._now_ms(loop)
-        plane = self.resilience
-        cursor = self._chaos_cursor
-        controller = plane.controller if plane is not None else None
-        protected = plane is not None or cursor is not None
-        if cursor is not None:
-            fired = cursor.fire_due(now_ms, pool=self.blocker.pool)
-            if fired and plane is not None:
-                plane.note_chaos(fired)
-        if controller is not None:
-            controller.evaluate(now_ms)
-            self._queue.deadline_scale = controller.deadline_scale
+        chain = self._chain
+        chain.tick(now_ms, self._queue)
         self.stats.submitted += 1
-        if controller is not None and (
-            controller.shed_all
-            or (
-                controller.drop_below_fold
-                and priority > PRIORITY_VIEWPORT
-            )
-        ):
-            self.stats.shed += 1
-            plane.degraded_sheds += 1
-            raise ServeOverloadError(
-                f"request shed at brownout level"
-                f" '{controller.level_name}'"
-            )
-        recalled = None
-        if self.differ is not None and _tier_available(
-            plane, cursor, "diff", now_ms
-        ):
-            if not protected:
-                recalled = _diff_recall(
-                    self.differ, session_id, provenance, content_key
-                )
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error("diff"):
-                        raise ChaosInjectedError(
-                            "injected diff recall failure"
-                        )
-                    recalled = _diff_recall(
-                        self.differ, session_id, provenance, content_key
-                    )
-                except Exception:
-                    recalled = None
-                    _absorb_tier_error(self.stats, plane)
-                    _record_tier(plane, "diff", now_ms, False)
-                else:
-                    _record_tier(plane, "diff", now_ms, True)
-        if recalled is not None:
-            self.stats.diff_hits += 1
-            self.stats.answered += 1
-            self._record(now_ms, now_ms, now_ms, priority)
-            return recalled
-        audit = None
-        if self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", now_ms
-        ):
-            routed = None
-            if not protected:
-                routed = self.cascade.route(provenance)
-            else:
-                try:
-                    if cursor is not None and cursor.take_tier_error(
-                        "cascade"
-                    ):
-                        raise ChaosInjectedError(
-                            "injected cascade route failure"
-                        )
-                    routed = self.cascade.route(provenance)
-                except Exception:
-                    routed = None
-                    _absorb_tier_error(self.stats, plane)
-                    _record_tier(plane, "cascade", now_ms, False)
-                else:
-                    _record_tier(plane, "cascade", now_ms, True)
-            if isinstance(routed, CascadeHit):
-                self.stats.rule_hits += 1
-                self.stats.answered += 1
-                self._record(now_ms, now_ms, now_ms, priority)
-                return routed.decision
-            audit = routed
-        key = self.blocker.fingerprint(bitmap)
-        memo_live = cursor is None or not cursor.tier_out("memo", now_ms)
-        if memo_live and cursor is not None and cursor.take_tier_error(
-            "memo"
-        ):
-            # injected memo error degrades to a one-shot miss
-            memo_live = False
-        cached = (
-            self.blocker.memoized_decision(key=key) if memo_live else None
-        )
-        if cached is not None:
-            self.stats.memo_hits += 1
-            self.stats.answered += 1
-            self._record(now_ms, now_ms, now_ms, priority)
-            if self.cascade is not None and _tier_available(
-                plane, cursor, "cascade", now_ms, mutate=False
-            ):
-                def feed_cascade() -> None:
-                    if audit is not None:
-                        self.cascade.reconcile(audit, cached.is_ad)
-                    else:
-                        self.cascade.absorb(provenance, cached)
-
-                if protected:
-                    _guarded_feedback(self.stats, plane, feed_cascade)
-                else:
-                    feed_cascade()
-            if self.differ is not None and _tier_available(
-                plane, cursor, "diff", now_ms, mutate=False
-            ):
-                def feed_diff() -> None:
-                    _diff_remember(
-                        self.differ, session_id, provenance,
-                        content_key, cached,
-                    )
-
-                if protected:
-                    _guarded_feedback(self.stats, plane, feed_diff)
-                else:
-                    feed_diff()
-            return cached
         self._next_id += 1
         request = ServeRequest(
             request_id=self._next_id,
             session_id=session_id,
-            key=key,
+            key="",
             bitmap=bitmap,
             arrival_ms=now_ms,
             priority=priority,
             provenance=provenance,
-            audit=audit,
             content_key=content_key,
         )
-        future: "asyncio.Future[BlockDecision]" = loop.create_future()
-        leader = self._pending.get(key)
-        if leader is not None:
-            leader.coalesced.append(request)
-            self.stats.coalesced += 1
-        else:
-            if not self._queue.offer(request, now_ms):
-                self.stats.shed += 1
-                if controller is not None:
-                    controller.observe_pressure("queue overflow shed")
+        answered = chain.answer(request, now_ms)
+        if answered is not None:
+            if answered.tier == "shed":
                 raise ServeOverloadError(
-                    f"queue depth {self._queue.depth} at its bound "
-                    f"({self.settings.max_depth}); request shed"
+                    f"request shed at brownout level"
+                    f" '{self.resilience.controller.level_name}'"
                 )
-            self._pending[key] = request
+            return answered.decision
+        if chain.enqueue(
+            request, self._queue, self._pending, now_ms
+        ) == "shed":
+            raise ServeOverloadError(
+                f"queue depth {self._queue.depth} at its bound "
+                f"({self.settings.max_depth}); request shed"
+            )
+        future: "asyncio.Future[BlockDecision]" = loop.create_future()
         self._waiters[request.request_id] = future
-        self._arrivals[request.request_id] = now_ms
         if self._queue.due(now_ms):
             # defer to a callback instead of flushing inline: submit
             # returns immediately, and a burst of submits already on
@@ -1222,99 +690,24 @@ class AsyncServeFront:
     ) -> None:
         """Flush every due batch — inline on the event-loop thread by
         default, or as tracked tasks computing on the executor."""
-        if not self.use_executor:
-            self._flush_sync(loop, force=force)
-            return
         while True:
             flush_ms = self._now_ms(loop)
             batch = self._queue.pop_batch(flush_ms, force=force)
             if batch is None:
                 break
-            task = loop.create_task(self._flush_batch(loop, batch, flush_ms))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
-        if self._timer is None and self._queue.depth:
-            self._arm_timer(loop)
-
-    def _pool_gate(
-        self, batch: List[ServeRequest], flush_ms: float
-    ) -> tuple:
-        """Consult the pool breaker for one flush.  Returns ``(pool,
-        pool_eligible, bypass, fallbacks_before)``; when ``bypass`` the
-        pool is already detached (caller restores it in a finally) so
-        exactly this flush computes in-process — bit-identical verdicts
-        by batch-composition invariance."""
-        plane = self.resilience
-        pool = self.blocker.pool
-        pool_eligible = (
-            pool is not None
-            and not getattr(pool, "closed", False)
-            and len(batch) >= self.blocker.shard_min_batch
-        )
-        bypass = False
-        if plane is not None and pool_eligible:
-            bypass = not plane.breakers["pool"].allow(flush_ms)
-        fallbacks_before = getattr(self.blocker, "pool_fallbacks", 0)
-        if bypass:
-            self.blocker.pool = None
-            plane.pool_bypassed += 1
-        return pool, pool_eligible, bypass, fallbacks_before
-
-    def _pool_outcome(
-        self,
-        flush_ms: float,
-        pool_eligible: bool,
-        bypass: bool,
-        fallbacks_before: int,
-        ok: bool = True,
-    ) -> None:
-        """Feed the flush's dispatch outcome to the pool breaker (the
-        blocker heals pool failures silently — the fallback counter is
-        the breaker's only window into them)."""
-        if pool_eligible and not bypass:
-            _record_tier(
-                self.resilience, "pool", flush_ms,
-                ok
-                and getattr(self.blocker, "pool_fallbacks", 0)
-                == fallbacks_before,
-            )
-
-    def _flush_sync(
-        self, loop: asyncio.AbstractEventLoop, force: bool = False
-    ) -> None:
-        while True:
-            flush_ms = self._now_ms(loop)
-            batch = self._queue.pop_batch(flush_ms, force=force)
-            if batch is None:
-                break
-            bitmaps = [request.bitmap for request in batch]
-            keys = [request.key for request in batch]
-            capacity = _pool_capacity(self.blocker.pool)
-            pool, eligible, bypass, before = self._pool_gate(
-                batch, flush_ms
-            )
+            if self.use_executor:
+                task = loop.create_task(
+                    self._flush_batch(loop, batch, flush_ms)
+                )
+                self._inflight.add(task)
+                task.add_done_callback(self._inflight.discard)
+                continue
             try:
-                decisions = self.blocker.decide_many(bitmaps, keys=keys)
+                decisions = self._chain.compute(batch, flush_ms)
             except Exception as exc:
-                self._pool_outcome(flush_ms, eligible, bypass, before,
-                                   ok=False)
                 self._settle_failure(batch, exc)
                 continue
-            finally:
-                if bypass:
-                    self.blocker.pool = pool
-            self._pool_outcome(flush_ms, eligible, bypass, before)
-            try:
-                self._settle_batch(
-                    batch, decisions, flush_ms, self._now_ms(loop),
-                    capacity,
-                )
-            except Exception as exc:
-                # backstop: _settle_batch resolves futures before any
-                # feedback, so reaching here means something settled
-                # partially — _settle_failure's pops are idempotent and
-                # finish the job exactly once
-                self._settle_failure(batch, exc)
+            self._settle_batch(batch, decisions, flush_ms, loop)
         # re-arm for whatever is still queued (partial batch)
         if self._timer is None and self._queue.depth:
             self._arm_timer(loop)
@@ -1325,34 +718,20 @@ class AsyncServeFront:
         batch: List[ServeRequest],
         flush_ms: float,
     ) -> None:
-        """Executor-mode flush of one already-popped batch."""
-        bitmaps = [request.bitmap for request in batch]
-        keys = [request.key for request in batch]
-        capacity = _pool_capacity(self.blocker.pool)
-        # the detach window spans this task's await; a concurrently
-        # interleaved flush would also compute in-process once, which
-        # only moves *where* its batch computes, never its verdicts
-        pool, eligible, bypass, before = self._pool_gate(batch, flush_ms)
+        """Executor-mode flush of one already-popped batch.  The pool
+        gate spans the await; a concurrently interleaved flush would
+        also compute in-process once, which only moves *where* its
+        batch computes, never its verdicts."""
+        chain = self._chain
         try:
-            decisions = await loop.run_in_executor(
-                self._get_executor(),
-                lambda: self.blocker.decide_many(bitmaps, keys=keys),
-            )
+            with chain.computing(len(batch), flush_ms):
+                decisions = await loop.run_in_executor(
+                    self._get_executor(), chain.decide, batch
+                )
         except Exception as exc:
-            self._pool_outcome(flush_ms, eligible, bypass, before,
-                               ok=False)
             self._settle_failure(batch, exc)
             return
-        finally:
-            if bypass:
-                self.blocker.pool = pool
-        self._pool_outcome(flush_ms, eligible, bypass, before)
-        try:
-            self._settle_batch(
-                batch, decisions, flush_ms, self._now_ms(loop), capacity
-            )
-        except Exception as exc:
-            self._settle_failure(batch, exc)
+        self._settle_batch(batch, decisions, flush_ms, loop)
 
     def _get_executor(self) -> concurrent.futures.ThreadPoolExecutor:
         if self._executor is None:
@@ -1369,66 +748,28 @@ class AsyncServeFront:
         batch: List[ServeRequest],
         decisions: Sequence[BlockDecision],
         flush_ms: float,
-        complete_ms: float,
-        capacity: int,
+        loop: asyncio.AbstractEventLoop,
     ) -> None:
-        plane = self.resilience
-        cursor = self._chaos_cursor
-        controller = plane.controller if plane is not None else None
-        diff_ok = self.differ is not None and _tier_available(
-            plane, cursor, "diff", complete_ms, mutate=False
-        )
-        cascade_ok = self.cascade is not None and _tier_available(
-            plane, cursor, "cascade", complete_ms, mutate=False
-        )
-        # pass 1 — resolve every waiter (leaders and riders alike)
-        # before any tier feedback runs: a raising remember/feed can
-        # no longer orphan a coalesced rider's future
-        groups = []
-        for request, decision in zip(batch, decisions):
-            self._pending.pop(request.key, None)
-            group = (request, *request.coalesced)
-            for settled in group:
-                future = self._waiters.pop(settled.request_id, None)
-                arrival_ms = self._arrivals.pop(
-                    settled.request_id, flush_ms
-                )
-                if future is not None and not future.done():
-                    future.set_result(decision)
-                self.stats.answered += 1
-                self._record(
-                    arrival_ms, flush_ms, complete_ms, settled.priority
-                )
-                if controller is not None:
-                    controller.observe_latency(complete_ms - arrival_ms)
-            groups.append((group, decision))
-        # pass 2 — tier feedback, each write guarded so one failing
-        # tier cannot take the flush (or the timer re-arm) down
-        for group, decision in groups:
-            if diff_ok:
+        chain = self._chain
+        complete_ms = self._now_ms(loop)
+        try:
+            for request, decision in zip(batch, decisions):
+                self._pending.pop(request.key, None)
+                group = (request, *request.coalesced)
                 for settled in group:
-                    _guarded_feedback(
-                        self.stats, plane,
-                        lambda settled=settled, decision=decision:
-                            _diff_remember(
-                                self.differ, settled.session_id,
-                                settled.provenance, settled.content_key,
-                                decision,
-                            ),
-                    )
-            if cascade_ok:
-                # one computed verdict -> one healer observation,
-                # regardless of how many riders share the batch slot
-                _guarded_feedback(
-                    self.stats, plane,
-                    lambda group=group, decision=decision:
-                        _feed_cascade_once(self.cascade, group, decision),
-                )
-        self.stats.batches += 1
-        self.stats.batched_requests += len(batch)
-        self.stats.capacity_samples.append(capacity)
-        if controller is not None:
-            controller.evaluate(complete_ms)
+                    future = self._waiters.pop(settled.request_id, None)
+                    if future is not None and not future.done():
+                        future.set_result(decision)
+                    chain.settled(settled, flush_ms, complete_ms)
+                # feedback is guarded: a raising tier write is counted,
+                # never allowed to strand a later group's waiters
+                chain.feedback(group, decision, complete_ms)
+        except Exception as exc:
+            # backstop: _settle_failure's pops are idempotent, so a
+            # partially settled batch still settles exactly once
+            self._settle_failure(batch, exc)
+        if self.resilience is not None:
+            self.resilience.controller.evaluate(complete_ms)
 
     def _settle_failure(
         self, batch: List[ServeRequest], exc: Exception
@@ -1438,29 +779,12 @@ class AsyncServeFront:
         # duplicates are not coalesced onto a leader that no longer
         # exists.  Pops tolerate absence so this doubles as the
         # exactly-once backstop behind a partially-settled batch.
-        plane = self.resilience
-        if plane is not None:
-            plane.failed_batches += 1
-            plane.controller.observe_pressure("batch classification failed")
         for request in batch:
             self._pending.pop(request.key, None)
             for settled in (request, *request.coalesced):
                 future = self._waiters.pop(settled.request_id, None)
-                self._arrivals.pop(settled.request_id, None)
                 if future is None:
                     continue
                 if not future.done():
                     future.set_exception(exc)
                 self.stats.failed += 1
-
-    def _record(
-        self,
-        arrival_ms: float,
-        flush_ms: float,
-        complete_ms: float,
-        priority: int = PRIORITY_VIEWPORT,
-    ) -> None:
-        self.stats.queue_wait_ms.add(flush_ms - arrival_ms)
-        self.stats.service_ms.add(complete_ms - flush_ms)
-        self.stats.total_ms.add(complete_ms - arrival_ms)
-        self.stats.record_queue_wait(priority, flush_ms - arrival_ms)

@@ -130,6 +130,19 @@ class ServeStats:
     #: absorbed instead of taking the request or the flush down
     tier_errors: int = 0
 
+    def record_latency(
+        self,
+        arrival_ms: float,
+        flush_ms: float,
+        complete_ms: float,
+        priority: int,
+    ) -> None:
+        """One answered request's queue wait, service time and total."""
+        self.queue_wait_ms.add(flush_ms - arrival_ms)
+        self.service_ms.add(complete_ms - flush_ms)
+        self.total_ms.add(complete_ms - arrival_ms)
+        self.record_queue_wait(priority, flush_ms - arrival_ms)
+
     def record_queue_wait(self, priority: int, value_ms: float) -> None:
         """Attribute one queue-wait sample to its priority class."""
         summary = self.queue_wait_by_priority.get(priority)

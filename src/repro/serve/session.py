@@ -8,9 +8,9 @@ same ad unit syndicated across sites — so cross-session memoization and
 fingerprint coalescing have something real to bite on.
 
 :class:`RenderServeBridge` is the hook that routes a renderer's
-async-mode decodes through the micro-batching layer: misses enqueue
-during raster (paint never waits), and the page's pending frames
-classify in ``max_batch``-sized chunks at drain time.  The bridge keeps
+async-mode decodes through the serve tier chain: misses enqueue during
+raster (paint never waits), and the page's pending frames classify in
+``max_batch``-sized chunks at drain time.  The bridge keeps
 one blocker across pages, so a creative classified while serving one
 page session answers every later session from the shared memo.
 """
@@ -18,16 +18,22 @@ page session answers every later session from the shared memo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeHit, CascadeRouter
+from repro.cascade.router import CascadeAudit, CascadeRouter, resolve_cascade
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import ServeSettings, configured_serve_settings
+from repro.diff.differ import resolve_differ
 from repro.serve.loop import ArrivalEvent, BatchComputeModel
-from repro.serve.queue import PRIORITY_BELOW_FOLD, PRIORITY_VIEWPORT
+from repro.serve.queue import (
+    PRIORITY_BELOW_FOLD,
+    PRIORITY_VIEWPORT,
+    ServeRequest,
+)
+from repro.serve.tiers import Answer, TierChain
 from repro.utils.rng import spawn_rng
 
 
@@ -292,15 +298,18 @@ class _ProvenanceSynth:
 class RenderServeBridge:
     """Routes a renderer's async-mode classification through batches.
 
-    The renderer calls :meth:`lookup` per decoded frame (shared-memo
-    fast path) and :meth:`enqueue` on a miss; the frame paints
-    immediately either way.  :meth:`drain` then classifies everything
-    pending in ``max_batch`` chunks through ``decide_many`` — one
-    batched forward (sharded across the worker pool when the blocker
-    holds one) instead of per-frame passes — and reports each frame's
-    verdict with its amortized virtual cost for the renderer's async
-    lanes.  The bridge outlives a single page: later sessions reuse
-    every verdict via the blocker's memo.
+    The renderer calls :meth:`route` per decoded frame (the serve tier
+    chain's rule and memo tiers) and :meth:`enqueue` on a miss; the
+    frame paints immediately either way.  :meth:`drain` then classifies
+    everything pending in ``max_batch`` chunks through ``decide_many``
+    — one batched forward (sharded across the worker pool when the
+    blocker holds one) instead of per-frame passes — and reports each
+    frame's verdict with its amortized virtual cost for the renderer's
+    async lanes.  The bridge outlives a single page: later sessions
+    reuse every verdict via the blocker's memo.
+
+    The bridge is unguarded by design: it takes no chaos schedule and
+    no resilience plane, so every tier call is a plain call.
     """
 
     def __init__(
@@ -310,68 +319,58 @@ class RenderServeBridge:
         cascade: "CascadeRouter | None | bool" = None,
         differ=None,
     ) -> None:
-        # leaf imports: the resolvers read their PERCIVAL_* knobs
-        from repro.cascade.router import resolve_cascade
-        from repro.diff.differ import resolve_differ
-
         self.blocker = blocker
         self.settings = configured_serve_settings(settings)
         self.compute_model = BatchComputeModel.from_blocker(blocker)
         self.cascade = resolve_cascade(cascade, blocker.classifier.config)
         #: session-scoped snapshot differ; the renderer picks this up so
         #: revisits of a page inherit unchanged regions' verdicts before
-        #: any decode happens (None = diff off)
+        #: any decode happens (None = diff off).  The renderer drives it
+        #: page by page (plan/commit), so the chain's per-frame diff
+        #: tier stays off here.
         self.differ = resolve_differ(differ, blocker.classifier.config)
-        #: (priority, enqueue seq, key, bitmap, audit, provenance) —
-        #: drained most-urgent first, FIFO within a priority class
-        self._pending: List[tuple] = []
+        self._chain = TierChain(blocker, cascade=self.cascade)
+        #: enqueued requests, drained most-urgent first and FIFO within
+        #: a priority class (``request_id`` is the enqueue sequence)
+        self._pending: List[ServeRequest] = []
         #: audit tickets opened by :meth:`route` for keys that memo-
         #: missed, waiting to ride the next :meth:`enqueue` of that key
-        self._open_tickets: dict = {}
+        self._open_tickets: Dict[str, List[CascadeAudit]] = {}
         self.frames_enqueued = 0
         self.batches_flushed = 0
-        #: frames answered by the cascade rule tiers via :meth:`route`
-        self.rule_hits = 0
 
-    def lookup(
-        self, bitmap: np.ndarray, key: Optional[str] = None
-    ) -> Optional[BlockDecision]:
-        """Shared-memo lookup; ``None`` means the frame needs compute."""
-        return self.blocker.memoized_decision(bitmap, key=key)
+    @property
+    def rule_hits(self) -> int:
+        """Frames answered by the cascade rule tiers via :meth:`route`."""
+        return self._chain.stats.rule_hits
 
     def route(
         self,
         bitmap: np.ndarray,
         key: Optional[str] = None,
         provenance: Optional[FrameProvenance] = None,
-    ) -> Optional[BlockDecision]:
+    ) -> Optional[Answer]:
         """Cascade rule tier + shared memo, in serve-tier order.
 
-        A rule hit answers without touching the memo; a memo hit
-        reconciles (or absorbs into) the cascade; ``None`` means the
-        frame needs compute — any open audit ticket waits for the key's
-        next :meth:`enqueue` and settles at drain time.
+        Returns the :class:`~repro.serve.tiers.Answer` (``tier`` is
+        ``"rule"`` or ``"memo"``), or ``None`` when the frame needs
+        compute — any open audit ticket then waits for the key's next
+        :meth:`enqueue` and settles at drain time.
         """
-        if key is None:
-            key = self.blocker.fingerprint(bitmap)
-        audit = None
-        if self.cascade is not None:
-            routed = self.cascade.route(provenance)
-            if isinstance(routed, CascadeHit):
-                self.rule_hits += 1
-                return routed.decision
-            audit = routed
-        cached = self.blocker.memoized_decision(bitmap, key=key)
-        if cached is not None:
-            if self.cascade is not None:
-                if audit is not None:
-                    self.cascade.reconcile(audit, cached.is_ad)
-                else:
-                    self.cascade.absorb(provenance, cached)
-            return cached
-        if audit is not None:
-            self._open_tickets.setdefault(key, []).append(audit)
-        return None
+        request = ServeRequest(
+            request_id=-1,
+            session_id="",
+            key=key or "",
+            bitmap=bitmap,
+            arrival_ms=0.0,
+            provenance=provenance,
+        )
+        answered = self._chain.answer(request, 0.0)
+        if answered is None and request.audit is not None:
+            self._open_tickets.setdefault(request.key, []).append(
+                request.audit
+            )
+        return answered
 
     def fingerprint(self, bitmap: np.ndarray) -> str:
         return self.blocker.fingerprint(bitmap)
@@ -396,9 +395,16 @@ class RenderServeBridge:
             audit = tickets.pop(0)
             if not tickets:
                 del self._open_tickets[key]
-        self._pending.append(
-            (priority, self.frames_enqueued, key, bitmap, audit, provenance)
-        )
+        self._pending.append(ServeRequest(
+            request_id=self.frames_enqueued,
+            session_id="",
+            key=key,
+            bitmap=bitmap,
+            arrival_ms=0.0,
+            priority=priority,
+            provenance=provenance,
+            audit=audit,
+        ))
         self.frames_enqueued += 1
 
     @property
@@ -415,28 +421,28 @@ class RenderServeBridge:
         fold work runs.  The chunking itself is priority-blind: the
         drain always flushes ``ceil(pending / max_batch)`` batches.
         Duplicate fingerprints within a chunk share one classification
-        (``decide_many`` deduplicates), and the amortized cost splits
-        the chunk's batched compute evenly across its frames — the
-        virtual-clock reflection of what batching buys over per-frame
-        inference.
+        (``decide_many`` deduplicates) and one cascade observation, and
+        the amortized cost splits the chunk's batched compute evenly
+        across its frames — the virtual-clock reflection of what
+        batching buys over per-frame inference.
         """
         drained: List[Tuple[BlockDecision, float]] = []
         max_batch = self.settings.max_batch
+        chain = self._chain
         pending, self._pending = self._pending, []
-        pending.sort(key=lambda entry: (entry[0], entry[1]))
+        pending.sort(key=lambda request: (request.priority, request.request_id))
         for start in range(0, len(pending), max_batch):
             chunk = pending[start:start + max_batch]
-            keys = [entry[2] for entry in chunk]
-            bitmaps = [entry[3] for entry in chunk]
-            decisions = self.blocker.decide_many(bitmaps, keys=keys)
+            decisions = chain.compute(chunk, 0.0)
             per_frame_ms = float(self.compute_model(len(chunk))) / len(chunk)
-            for entry, decision in zip(chunk, decisions):
+            #: fingerprint -> (its computed verdict, the frames sharing it)
+            groups: Dict[str, Tuple[BlockDecision, List[ServeRequest]]] = {}
+            for request, decision in zip(chunk, decisions):
                 drained.append((decision, per_frame_ms))
-                if self.cascade is not None:
-                    _, _, _, _, audit, provenance = entry
-                    if audit is not None:
-                        self.cascade.reconcile(audit, decision.is_ad)
-                    else:
-                        self.cascade.absorb(provenance, decision)
+                groups.setdefault(request.key, (decision, []))[1].append(
+                    request
+                )
+            for decision, group in groups.values():
+                chain.feedback(group, decision, 0.0)
             self.batches_flushed += 1
         return drained

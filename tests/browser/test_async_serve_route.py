@@ -123,10 +123,12 @@ class TestServeBridgeRoute:
         )
         assert first.images_decoded > 0
         # with the diff layer on (PERCIVAL_DIFF), the revisit settles
-        # from the page snapshot instead of probing the memo — either
-        # way every frame resolves without fresh classification
+        # from the page snapshot instead of probing the memo, and with
+        # the cascade on (PERCIVAL_CASCADE) a rule may answer ahead of
+        # the memo — either way every frame resolves without fresh
+        # classification
         assert (
-            second.memo_hits + second.diff_inherited
+            second.memo_hits + second.rule_hits + second.diff_inherited
             == second.images_decoded
         )
         assert second.classify_cost_ms == 0.0

@@ -14,6 +14,7 @@ from repro.serve import (
     AsyncServeFront,
     FleetSimulator,
     FleetSpec,
+    RenderServeBridge,
     ServeLoop,
     TrafficSpec,
     synthesize_traffic,
@@ -118,7 +119,14 @@ def test_rule_tier_wins_over_memo():
     # every key is now memoized AND most sources hold micro-rules
     second = ServeLoop(blocker, SETTINGS, cascade=router).run(traffic)
     assert second.stats.rule_hits > first.stats.rule_hits
-    rule_keys = {r.key for r in second.results if r.rule_hit}
+    # a rule hit is answered before the fingerprint (its result key is
+    # ""), so hash the matching events' bitmaps; the trace is already
+    # in arrival order, which is the order results come back in
+    rule_keys = {
+        blocker.fingerprint(event.bitmap)
+        for event, result in zip(traffic, second.results)
+        if result.rule_hit
+    }
     memoized = [k for k in rule_keys
                 if blocker.memoized_decision(key=k) is not None]
     # the memo would have answered these — the rule tier got there first
@@ -274,3 +282,24 @@ def test_coalesced_riders_feed_the_healer_once_async():
     assert front.stats.coalesced == 3
     assert rule.agreements + rule.disagreements == 1
     assert not rule.invalidated
+
+
+def test_coalesced_riders_feed_the_healer_once_bridge():
+    """The renderer bridge's drain obeys the same law: four enqueued
+    copies of one audited frame in one chunk are one computed verdict,
+    so one healer observation."""
+    router, rule, events = _coalesced_audit_setup()
+    bridge = RenderServeBridge(_blocker(), SETTINGS, cascade=router)
+    for event in events:
+        key = bridge.fingerprint(event.bitmap)
+        assert bridge.route(
+            event.bitmap, key=key, provenance=event.provenance
+        ) is None
+        bridge.enqueue(event.bitmap, key, provenance=event.provenance)
+    decisions = bridge.drain()
+    assert len(decisions) == len(events)
+    assert bridge.batches_flushed == 1
+    assert rule.audits == 4
+    assert rule.agreements + rule.disagreements == 1
+    assert not rule.invalidated
+    assert router.stats.audit_invalidations == 0
