@@ -26,53 +26,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _resolved_config(args: argparse.Namespace):
-    """Config for subcommands with a ``--precision`` flag: the flag
-    wins, otherwise the ``PERCIVAL_PRECISION`` environment knob applies
-    (``None`` defers to the library default)."""
+    """The config for a subcommand: its ``--precision``, ``--cascade``
+    and ``--diff`` flags set the matching :class:`PercivalConfig`
+    fields, which beat the environment; an unset flag leaves its field
+    ``None`` (the ``PERCIVAL_*`` knob decides)."""
     from repro.core import PercivalConfig
 
-    if getattr(args, "precision", None) is None:
-        return None
-    return PercivalConfig(precision=args.precision)
+    def on(flag):
+        return None if flag is None else flag == "on"
 
-
-def _resolved_cascade(args: argparse.Namespace, config):
-    """``--cascade`` flag -> ServeLoop-style ``cascade=`` argument: a
-    router when on, ``False`` when off, ``None`` (environment knob)
-    when the flag was not given."""
-    from repro.cascade import CascadeRouter
-    from repro.core.config import configured_cascade_enabled
-
-    flag = getattr(args, "cascade", None)
-    if flag is None:
-        enabled = configured_cascade_enabled(config.cascade_enabled)
-    else:
-        enabled = flag == "on"
-    if not enabled:
-        return False
-    return CascadeRouter.with_default_filterlist(
-        confidence=config.cascade_confidence
+    return PercivalConfig(
+        precision=getattr(args, "precision", None),
+        cascade_enabled=on(getattr(args, "cascade", None)),
+        diff_enabled=on(getattr(args, "diff", None)),
     )
-
-
-def _resolved_differ(args: argparse.Namespace, config):
-    """``--diff`` flag -> ServeLoop-style ``differ=`` argument: a
-    differ when on, ``False`` when off, ``None`` (environment knob)
-    when the flag was not given."""
-    from repro.core.config import (
-        configured_diff_capacity,
-        configured_diff_enabled,
-    )
-    from repro.diff import FrameDiffer
-
-    flag = getattr(args, "diff", None)
-    if flag is None:
-        enabled = configured_diff_enabled(config.diff_enabled)
-    else:
-        enabled = flag == "on"
-    if not enabled:
-        return False
-    return FrameDiffer(capacity=configured_diff_capacity())
 
 
 def _resolved_chaos(args: argparse.Namespace):
@@ -112,6 +79,7 @@ def _print_resilience(plane) -> None:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from repro.cascade import CascadeHit, FrameProvenance
     from repro.core import PercivalBlocker, get_reference_classifier
+    from repro.serve import resolve_tiers
     from repro.synth.adgen import AdSpec, generate_ad
     from repro.synth.contentgen import generate_content
     from repro.synth.webgen import AD_NETWORKS
@@ -120,8 +88,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     classifier = get_reference_classifier(_resolved_config(args))
     print(f"precision: {classifier.effective_precision}")
     blocker = PercivalBlocker(classifier)
-    cascade = _resolved_cascade(args, classifier.config)
-    router = cascade if cascade is not False else None
+    router = resolve_tiers(
+        classifier.config, differ=False, chaos=False, resilience=False
+    ).cascade
     rng = spawn_rng(args.seed, "cli-classify")
     for index in range(args.count):
         if index % 2 == 0:
@@ -199,6 +168,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     """Deterministic serving simulation: multi-session traffic through
     the micro-batching layer (or, with ``--fleet``, a full diurnal-day
     replay under the SLO autoscaler), with the latency report."""
+    from dataclasses import replace
+
     from repro.core import (
         PercivalBlocker,
         ServeSettings,
@@ -216,17 +187,17 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     )
 
     classifier = get_reference_classifier(_resolved_config(args))
-    cascade = _resolved_cascade(args, classifier.config)
-    differ = _resolved_differ(args, classifier.config)
     chaos = _resolved_chaos(args)
+    # unset flags fall back to the PERCIVAL_SERVE_* knobs
+    flags = {
+        field: getattr(args, field)
+        for field in ("max_batch", "max_wait_ms", "max_depth", "lanes",
+                      "aging_ms")
+    }
+    settings = replace(ServeSettings.from_env(), **{
+        field: value for field, value in flags.items() if value is not None
+    })
     pool = get_worker_pool(classifier, num_workers=args.workers)
-    settings = ServeSettings(
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        max_depth=args.max_depth,
-        lanes=args.lanes,
-        aging_ms=args.aging_ms,
-    )
     blocker = PercivalBlocker(
         classifier,
         calibrated_latency_ms=11.0,
@@ -243,7 +214,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 blocker,
                 settings,
                 policy=SLOPolicy(p99_target_ms=args.p99_target_ms),
-                cascade=cascade,
                 chaos=chaos,
             )
             if simulator.chaos is not None:
@@ -261,16 +231,14 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
                 print("CONSERVATION VIOLATED: requests lost or duplicated")
                 return 1
             return 0
+        loop = ServeLoop(blocker, settings, chaos=chaos)
         events = synthesize_traffic(TrafficSpec(
             sessions=args.sessions,
             frames_per_session=args.frames,
             seed=args.seed,
-            provenance=cascade is not False or differ is not False,
+            provenance=loop.cascade is not None or loop.differ is not None,
             revisits=args.revisits,
         ))
-        loop = ServeLoop(
-            blocker, settings, cascade=cascade, differ=differ, chaos=chaos
-        )
         if loop.chaos is not None:
             print(loop.chaos.describe())
         report = loop.run(events)
@@ -350,12 +318,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def main(argv: list | None = None) -> int:
-    from repro.core.config import configured_serve_settings
-
-    # flag defaults resolve through the environment, so an unset flag
-    # honors PERCIVAL_SERVE_* exactly as the help text promises
-    serve_defaults = configured_serve_settings()
-
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -406,17 +368,14 @@ def main(argv: list | None = None) -> int:
     serve_sim.add_argument("--seed", type=int, default=0)
     serve_sim.add_argument(
         "--max-batch", type=int,
-        default=serve_defaults.max_batch,
         help="flush threshold (PERCIVAL_SERVE_MAX_BATCH)",
     )
     serve_sim.add_argument(
         "--max-wait-ms", type=float,
-        default=serve_defaults.max_wait_ms,
         help="oldest-request deadline (PERCIVAL_SERVE_MAX_WAIT_MS)",
     )
     serve_sim.add_argument(
         "--max-depth", type=int,
-        default=serve_defaults.max_depth,
         help="admission bound (PERCIVAL_SERVE_MAX_DEPTH)",
     )
     serve_sim.add_argument(
@@ -430,7 +389,6 @@ def main(argv: list | None = None) -> int:
     )
     serve_sim.add_argument(
         "--aging-ms", type=float,
-        default=serve_defaults.aging_ms,
         help="priority aging interval (PERCIVAL_SERVE_AGING_MS)",
     )
     serve_sim.add_argument(

@@ -264,32 +264,3 @@ class CascadeRouter:
                 key = f"list|{provenance.page_domain}|hide:{hide.raw}"
                 return self.cache.ensure_list_rule(key, True, 1.0)
         return None
-
-
-def resolve_cascade(
-    cascade: "CascadeRouter | None | bool",
-    config,
-) -> Optional[CascadeRouter]:
-    """Normalize a ``cascade=`` constructor argument.
-
-    ``None`` defers to the configuration (``PercivalConfig.
-    cascade_enabled`` / the ``PERCIVAL_CASCADE`` knob) and builds the
-    default filterlist-backed router when enabled; ``False`` pins the
-    cascade off regardless of the environment (the bit-identical
-    pre-cascade path); a router instance is used as-is.
-    """
-    from repro.core.config import configured_cascade_enabled
-
-    if cascade is False:
-        return None
-    if isinstance(cascade, CascadeRouter):
-        return cascade
-    if cascade is not None:
-        raise TypeError(
-            "cascade must be a CascadeRouter, None (auto), or False (off)"
-        )
-    if configured_cascade_enabled(getattr(config, "cascade_enabled", None)):
-        return CascadeRouter.with_default_filterlist(
-            confidence=getattr(config, "cascade_confidence", 0.9)
-        )
-    return None

@@ -20,10 +20,8 @@ The paper's primary contribution, as a library:
 from repro.core.config import (
     PercivalConfig,
     ServeSettings,
-    configured_precision,
-    configured_serve_lanes,
-    configured_serve_settings,
     configured_worker_count,
+    knob,
 )
 from repro.core.preprocessing import preprocess_bitmap, preprocess_batch
 from repro.core.classifier import (
@@ -45,10 +43,8 @@ from repro.core.revisit import RevisitMemory
 __all__ = [
     "PercivalConfig",
     "ServeSettings",
-    "configured_precision",
-    "configured_serve_lanes",
-    "configured_serve_settings",
     "configured_worker_count",
+    "knob",
     "preprocess_bitmap",
     "preprocess_batch",
     "AdClassifier",

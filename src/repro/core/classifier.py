@@ -8,7 +8,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.config import PercivalConfig, configured_precision
+from repro.core.config import PercivalConfig, knob
 from repro.core.preprocessing import preprocess_batch, preprocess_bitmap
 from repro.models.percivalnet import LABEL_AD, PercivalNet, build_percival_net
 from repro.models.zoo import model_size_mb
@@ -107,7 +107,7 @@ class AdClassifier:
         )
         self.network.eval()
         #: requested storage precision of the inference weight artifact
-        self.precision = configured_precision(self.config.precision)
+        self.precision = knob("PERCIVAL_PRECISION", self.config.precision)
         self._plan: Optional[InferencePlan] = None
         self._plan_supported = True
         #: bumped on every invalidation; lets worker pools detect that

@@ -1,9 +1,16 @@
-"""PERCIVAL configuration."""
+"""PERCIVAL configuration.
+
+:class:`PercivalConfig` describes the classifier + blocker stack,
+:class:`ServeSettings` the micro-batching serve layer, and
+:data:`KNOBS` is the one table of ``PERCIVAL_*`` environment knobs:
+:func:`knob` is the only reader of those variables.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, asdict
+from typing import Any, Callable, Dict, Optional
 
 from repro.nn.quantize import validate_precision
 
@@ -29,9 +36,8 @@ class PercivalConfig:
     #: experiments; None -> measure the real model's latency once.
     calibrated_latency_ms: float | None = None
     #: worker processes for sharded batch inference; None defers to the
-    #: ``PERCIVAL_WORKERS`` environment knob (see
-    #: :func:`configured_worker_count`).  0 disables sharding entirely
-    #: and reproduces the single-process fast path.
+    #: ``PERCIVAL_WORKERS`` environment knob.  0 disables sharding
+    #: entirely and reproduces the single-process fast path.
     num_workers: int | None = None
     #: smallest memo-miss batch ``PercivalBlocker.decide_many`` will
     #: scatter across the worker pool; smaller batches stay in-process
@@ -39,9 +45,9 @@ class PercivalConfig:
     shard_min_batch: int = 32
     #: storage precision of the inference weight artifact
     #: (``fp32``/``fp16``/``int8``); None defers to the
-    #: ``PERCIVAL_PRECISION`` environment knob (see
-    #: :func:`configured_precision`).  Compute stays fp32 either way —
-    #: this selects what ships, persists, and stays resident.
+    #: ``PERCIVAL_PRECISION`` environment knob.  Compute stays fp32
+    #: either way — this selects what ships, persists, and stays
+    #: resident.
     precision: str | None = None
     #: calibration gate: maximum P(ad) drift vs. the fp32 reference a
     #: quantized artifact may show on the held-out calibration batch
@@ -49,17 +55,16 @@ class PercivalConfig:
     quantization_drift_tolerance: float = 1e-2
     #: enable the :mod:`repro.cascade` confidence router in front of
     #: the serving stack; None defers to the ``PERCIVAL_CASCADE``
-    #: environment knob (see :func:`configured_cascade_enabled`).
-    #: Off reproduces the pre-cascade pipeline bit for bit.
+    #: environment knob.  Off reproduces the pre-cascade pipeline bit
+    #: for bit.
     cascade_enabled: bool | None = None
     #: minimum model confidence ``max(P(ad), 1 - P(ad))`` a verdict
     #: needs before the cascade compiles it into a micro-rule.
     cascade_confidence: float = 0.9
     #: enable the :mod:`repro.diff` incremental re-classification layer
     #: (per-session snapshot/diff with verdict inheritance); None defers
-    #: to the ``PERCIVAL_DIFF`` environment knob (see
-    #: :func:`configured_diff_enabled`).  Off reproduces the pre-diff
-    #: pipeline bit for bit.
+    #: to the ``PERCIVAL_DIFF`` environment knob.  Off reproduces the
+    #: pre-diff pipeline bit for bit.
     diff_enabled: bool | None = None
 
     @classmethod
@@ -83,31 +88,6 @@ class PercivalConfig:
         return payload
 
 
-def configured_worker_count(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_WORKERS`` knob to a worker count.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.num_workers``) wins; otherwise the
-    ``PERCIVAL_WORKERS`` environment variable is consulted, where
-    ``"auto"`` (or unset) means *cores minus one* — leave one core for
-    the renderer/parent — and an integer pins the count.  ``0`` always
-    means sharding is disabled (single-process inference); on a
-    single-core machine ``auto`` therefore resolves to ``0``.
-    """
-    if explicit is not None:
-        return max(int(explicit), 0)
-    raw = os.environ.get("PERCIVAL_WORKERS", "auto").strip().lower()
-    if raw in ("", "auto"):
-        return max((os.cpu_count() or 1) - 1, 0)
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_WORKERS must be an integer or 'auto', got {raw!r}"
-        ) from exc
-    return max(value, 0)
-
-
 @dataclass(frozen=True)
 class ServeSettings:
     """Micro-batching knobs of the :mod:`repro.serve` layer.
@@ -127,8 +107,7 @@ class ServeSettings:
     max_depth: int = 128
     #: virtual compute lanes the serve loop may overlap flushes on.
     #: ``None`` means auto: the ``PERCIVAL_SERVE_LANES`` environment
-    #: knob if set, else the attached worker pool's capacity, else 1
-    #: (see :func:`configured_serve_lanes`).
+    #: knob if set, else the attached worker pool's capacity, else 1.
     lanes: int | None = None
     #: starvation-free aging: a queued request's effective priority
     #: improves one level for every ``aging_ms`` it has waited, so a
@@ -151,233 +130,166 @@ class ServeSettings:
         if self.aging_ms <= 0:
             raise ValueError("aging_ms must be > 0")
 
-
-def configured_serve_settings(
-    explicit: ServeSettings | None = None,
-) -> ServeSettings:
-    """Resolve the ``PERCIVAL_SERVE_*`` knobs to :class:`ServeSettings`.
-
-    An ``explicit`` settings object wins outright; otherwise each field
-    falls back to its environment variable (``PERCIVAL_SERVE_MAX_BATCH``,
-    ``PERCIVAL_SERVE_MAX_WAIT_MS``, ``PERCIVAL_SERVE_MAX_DEPTH``) and
-    then to the dataclass default.  Invalid values raise ``ValueError``
-    naming the offending variable.
-    """
-    if explicit is not None:
-        return explicit
-
-    def _env(name: str, cast, default):
-        raw = os.environ.get(name, "").strip()
-        if not raw:
-            return default
+    @classmethod
+    def from_env(cls) -> "ServeSettings":
+        """Settings from the ``PERCIVAL_SERVE_*`` knobs, each falling
+        back to its dataclass default.  A combination the settings
+        reject raises ``ValueError`` naming the variables that moved
+        a field off its default."""
+        values = {field: knob(env) for field, env in _SERVE_ENV.items()}
         try:
-            return cast(raw)
+            return cls(**values)
         except ValueError as exc:
-            raise ValueError(f"invalid {name}: {raw!r}") from exc
-
-    return ServeSettings(
-        max_batch=_env("PERCIVAL_SERVE_MAX_BATCH", int,
-                       ServeSettings.max_batch),
-        max_wait_ms=_env("PERCIVAL_SERVE_MAX_WAIT_MS", float,
-                         ServeSettings.max_wait_ms),
-        max_depth=_env("PERCIVAL_SERVE_MAX_DEPTH", int,
-                       ServeSettings.max_depth),
-        aging_ms=_env("PERCIVAL_SERVE_AGING_MS", float,
-                      ServeSettings.aging_ms),
-    )
+            named = ", ".join(
+                f"{env}={values[field]!r}"
+                for field, env in _SERVE_ENV.items()
+                if values[field] != getattr(cls, field)
+            )
+            raise ValueError(f"invalid {named}: {exc}") from exc
 
 
-def configured_serve_lanes(explicit: int | None = None) -> int | None:
-    """Resolve the ``PERCIVAL_SERVE_LANES`` knob to a lane count.
+# ----------------------------------------------------------------------
+# The knob table.  Precedence is the same for every row: an explicit
+# value (a constructor argument or a PercivalConfig/ServeSettings
+# field) beats the environment, and an unset or empty variable takes
+# the row's default.  Each parser gets the variable's name and either
+# the raw string or the explicit value, and every error it raises
+# names the variable.
+# ----------------------------------------------------------------------
 
-    Resolution order: an ``explicit`` value (``ServeSettings.lanes``)
-    wins; otherwise the ``PERCIVAL_SERVE_LANES`` environment variable is
-    consulted, where unset/empty/``"auto"`` returns ``None`` — meaning
-    the serve loop sizes its lane set from the attached worker pool's
-    ``available_capacity`` (1 when there is no pool).  An integer pins
-    the count; anything below 1 raises ``ValueError``.
-    """
-    if explicit is not None:
-        if int(explicit) < 1:
-            raise ValueError("serve lanes must be >= 1")
-        return int(explicit)
-    raw = os.environ.get("PERCIVAL_SERVE_LANES", "").strip().lower()
-    if raw in ("", "auto"):
-        return None
+Parser = Callable[[str, Any], Any]
+
+_ON = ("on", "1", "true", "yes")
+_OFF = ("", "off", "0", "false", "no")
+
+
+def _on_off(env: str, raw: Any) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    word = str(raw).strip().lower()
+    if word in _ON:
+        return True
+    if word in _OFF:
+        return False
+    raise ValueError(f"{env} must be 'on' or 'off', got {raw!r}")
+
+
+def _int(floor: int, clamp: bool = False) -> Parser:
+    """An integer; below ``floor`` it raises, or clamps to ``floor``."""
+
+    def parse(env: str, raw: Any) -> int:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
+        if value < floor:
+            if clamp:
+                return floor
+            raise ValueError(f"{env} must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
+def _int_or_auto(auto: Callable[[], Any], floor: int,
+                 clamp: bool = False) -> Parser:
+    """``auto`` (any case) resolves through ``auto()``; anything else
+    is an integer as for :func:`_int`."""
+    integer = _int(floor, clamp)
+
+    def parse(env: str, raw: Any) -> Any:
+        if str(raw).strip().lower() == "auto":
+            return auto()
+        return integer(env, raw)
+
+    return parse
+
+
+def _float(env: str, raw: Any) -> float:
     try:
-        value = int(raw)
+        return float(raw)
     except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_SERVE_LANES must be an integer or 'auto', got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ValueError(f"PERCIVAL_SERVE_LANES must be >= 1, got {value}")
-    return value
+        raise ValueError(f"{env} must be a number, got {raw!r}") from exc
 
 
-def configured_cascade_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_CASCADE`` knob to on/off.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.cascade_enabled``) wins; otherwise the
-    ``PERCIVAL_CASCADE`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-cascade pipeline — and ``on``/``1``/``true``/
-    ``yes`` enables the confidence router.  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_CASCADE", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_CASCADE must be 'on' or 'off', got {raw!r}"
-    )
-
-
-def configured_diff_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_DIFF`` knob to on/off.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.diff_enabled``) wins; otherwise the
-    ``PERCIVAL_DIFF`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-diff pipeline — and ``on``/``1``/``true``/``yes``
-    enables the snapshot/diff layer.  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_DIFF", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_DIFF must be 'on' or 'off', got {raw!r}"
-    )
-
-
-def configured_diff_capacity(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_DIFF_CAPACITY`` knob: how many
-    ``(session, page)`` snapshots the differ's LRU store keeps.
-
-    An ``explicit`` value wins; otherwise the environment variable
-    applies, and unset/empty means the default (512).  Values below 1
-    raise ``ValueError`` — a snapshot store that can hold nothing would
-    silently disable the diff layer.
-    """
-    if explicit is None:
-        raw = os.environ.get("PERCIVAL_DIFF_CAPACITY", "").strip()
-        if not raw:
-            return 512
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"PERCIVAL_DIFF_CAPACITY must be an integer, got {raw!r}"
-            ) from exc
-    value = int(explicit)
-    if value < 1:
-        raise ValueError(
-            f"PERCIVAL_DIFF_CAPACITY must be >= 1, got {value}"
-        )
-    return value
-
-
-def configured_chaos_seed(explicit: int | None = None) -> int | None:
-    """Resolve the ``PERCIVAL_CHAOS`` knob to a schedule seed or None.
-
-    Resolution order: an ``explicit`` value wins; otherwise the
-    ``PERCIVAL_CHAOS`` environment variable is consulted, where
-    unset/empty/``off``/``false``/``no`` means *no chaos* — the
-    bit-identical fault-free path — ``on`` means seed 0, and an
-    integer is used as the
-    :meth:`~repro.resilience.ChaosSchedule.seeded` seed directly
-    (``0`` is a valid seed, not "off").  Anything else raises
-    ``ValueError``.
-    """
-    if explicit is not None:
-        return int(explicit)
-    raw = os.environ.get("PERCIVAL_CHAOS", "").strip().lower()
-    if raw in ("", "off", "false", "no", "none"):
-        return None
-    if raw in ("on", "true", "yes"):
-        return 0
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"PERCIVAL_CHAOS must be 'off', 'on', or an integer seed,"
-            f" got {raw!r}"
-        ) from exc
-
-
-def configured_resilience_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the ``PERCIVAL_RESILIENCE`` knob to on/off.
-
-    Resolution order: an ``explicit`` value wins; otherwise the
-    ``PERCIVAL_RESILIENCE`` environment variable is consulted, where
-    unset/empty/``off``/``0``/``false``/``no`` means off — the
-    bit-identical pre-resilience serving path — and
-    ``on``/``1``/``true``/``yes`` attaches the breaker/ladder plane.
-    (An active chaos schedule implies the plane regardless.)
-    """
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get("PERCIVAL_RESILIENCE", "").strip().lower()
-    if raw in ("", "off", "0", "false", "no"):
-        return False
-    if raw in ("on", "1", "true", "yes"):
-        return True
-    raise ValueError(
-        f"PERCIVAL_RESILIENCE must be 'on' or 'off', got {raw!r}"
-    )
-
-
-def configured_respawn_budget(explicit: int | None = None) -> int:
-    """Resolve the ``PERCIVAL_RESPAWN_BUDGET`` knob: how many worker
-    *replacements* (respawns after a death — initial spawns and resize
-    growth are free) a pool may perform over its lifetime.
-
-    An ``explicit`` value wins; otherwise the environment variable
-    applies, and unset/empty means the default (16).  Values below 0
-    raise ``ValueError``; 0 means a dead worker is never replaced.
-    """
-    if explicit is None:
-        raw = os.environ.get("PERCIVAL_RESPAWN_BUDGET", "").strip()
-        if not raw:
-            return 16
-        try:
-            explicit = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"PERCIVAL_RESPAWN_BUDGET must be an integer, got {raw!r}"
-            ) from exc
-    value = int(explicit)
-    if value < 0:
-        raise ValueError(
-            f"PERCIVAL_RESPAWN_BUDGET must be >= 0, got {value}"
-        )
-    return value
-
-
-def configured_precision(explicit: str | None = None) -> str:
-    """Resolve the ``PERCIVAL_PRECISION`` knob to a precision name.
-
-    Resolution order: an ``explicit`` value (e.g.
-    ``PercivalConfig.precision``) wins; otherwise the
-    ``PERCIVAL_PRECISION`` environment variable is consulted, where
-    unset/empty means ``fp32`` — the bit-for-bit default pipeline.
-    Anything outside ``fp32``/``fp16``/``int8`` raises ``ValueError``.
-    """
-    if explicit is not None:
-        return validate_precision(explicit)
-    raw = os.environ.get("PERCIVAL_PRECISION", "").strip() or "fp32"
+def _precision(env: str, raw: Any) -> str:
     try:
         return validate_precision(raw)
     except ValueError as exc:
-        raise ValueError(f"invalid PERCIVAL_PRECISION: {exc}") from exc
+        raise ValueError(f"invalid {env}: {exc}") from exc
+
+
+def _chaos_seed(env: str, raw: Any) -> Optional[int]:
+    """``off`` means no chaos, ``on`` seed 0, an integer is the seed
+    itself (``0`` is a seed, not "off")."""
+    word = str(raw).strip().lower()
+    if word in ("", "off", "false", "no", "none"):
+        return None
+    if word in ("on", "true", "yes"):
+        return 0
+    try:
+        return int(word)
+    except ValueError as exc:
+        raise ValueError(
+            f"{env} must be 'off', 'on', or an integer seed, got {raw!r}"
+        ) from exc
+
+
+def _cores_minus_one() -> int:
+    """Leave one core for the renderer/parent (0 on a single core)."""
+    return max((os.cpu_count() or 1) - 1, 0)
+
+
+@dataclass(frozen=True)
+class Knob:
+    """One ``PERCIVAL_*`` environment variable."""
+
+    env: str
+    parse: Parser
+    #: value (or spelling, for the ``auto`` rows) used when unset/empty
+    default: Any
+
+
+KNOBS: Dict[str, Knob] = {row.env: row for row in (
+    Knob("PERCIVAL_WORKERS",
+         _int_or_auto(_cores_minus_one, floor=0, clamp=True), "auto"),
+    Knob("PERCIVAL_PRECISION", _precision, "fp32"),
+    Knob("PERCIVAL_SERVE_MAX_BATCH", _int(1), ServeSettings.max_batch),
+    Knob("PERCIVAL_SERVE_MAX_WAIT_MS", _float, ServeSettings.max_wait_ms),
+    Knob("PERCIVAL_SERVE_MAX_DEPTH", _int(1), ServeSettings.max_depth),
+    Knob("PERCIVAL_SERVE_AGING_MS", _float, ServeSettings.aging_ms),
+    # auto = size the lanes from the attached pool's capacity
+    Knob("PERCIVAL_SERVE_LANES", _int_or_auto(lambda: None, floor=1),
+         "auto"),
+    Knob("PERCIVAL_CASCADE", _on_off, False),
+    Knob("PERCIVAL_DIFF", _on_off, False),
+    Knob("PERCIVAL_CHAOS", _chaos_seed, "off"),
+    # an active chaos schedule implies the plane regardless
+    Knob("PERCIVAL_RESILIENCE", _on_off, False),
+)}
+
+#: ServeSettings field -> the knob that sets it from the environment
+_SERVE_ENV = {
+    "max_batch": "PERCIVAL_SERVE_MAX_BATCH",
+    "max_wait_ms": "PERCIVAL_SERVE_MAX_WAIT_MS",
+    "max_depth": "PERCIVAL_SERVE_MAX_DEPTH",
+    "aging_ms": "PERCIVAL_SERVE_AGING_MS",
+}
+
+
+def knob(env: str, explicit: Any = None) -> Any:
+    """The value of the ``env`` knob: ``explicit`` if not None, else
+    the environment variable, else the row's default — parsed and
+    range-checked by the row's parser.  Invalid values raise
+    ``ValueError`` naming ``env``."""
+    row = KNOBS[env]
+    raw = explicit
+    if raw is None:
+        raw = os.environ.get(env, "").strip() or row.default
+    return row.parse(env, raw)
+
+
+def configured_worker_count(explicit: int | None = None) -> int:
+    """The ``PERCIVAL_WORKERS`` worker count (``explicit`` wins; 0
+    disables sharding).  Kept for importers outside the package."""
+    return knob("PERCIVAL_WORKERS", explicit)

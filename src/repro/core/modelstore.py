@@ -28,7 +28,7 @@ import os
 from typing import Optional
 
 from repro.core.classifier import AdClassifier
-from repro.core.config import PercivalConfig, configured_worker_count
+from repro.core.config import PercivalConfig, knob
 from repro.core.workerpool import InferenceWorkerPool
 from repro.data.corpus import build_training_corpus, CorpusConfig
 from repro.models.percivalnet import build_percival_net
@@ -110,7 +110,7 @@ class ModelStore:
         """
         if num_workers is None:
             num_workers = classifier.config.num_workers
-        count = configured_worker_count(num_workers)
+        count = knob("PERCIVAL_WORKERS", num_workers)
         if count == 0:
             return None
         if self._pool is not None and (

@@ -38,7 +38,7 @@ Failure semantics: any worker death or timeout surfaces as
 "fall back to in-process inference" — a dying pool can slow a page
 down, never mis-classify it.  Dead workers are respawned on the next
 call, but not forever: replacements draw on a bounded **respawn
-budget** (``PERCIVAL_RESPAWN_BUDGET``) with exponential backoff
+budget** (``respawn_budget``, default 16) with exponential backoff
 between attempts, so a deterministically-crashing worker degrades the
 pool to its surviving workers (and eventually to the in-process path)
 instead of burning a fork per batch.  Teardown (``close()``) is
@@ -66,7 +66,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.classifier import AdClassifier, PlanExport
-from repro.core.config import configured_respawn_budget
 
 
 class WorkerPoolError(RuntimeError):
@@ -175,21 +174,22 @@ class InferenceWorkerPool:
         num_workers: int,
         start_method: Optional[str] = None,
         timeout_s: float = _DEFAULT_TIMEOUT_S,
-        respawn_budget: Optional[int] = None,
+        respawn_budget: int = 16,
         respawn_backoff_s: float = 0.05,
     ) -> None:
         if num_workers < 1:
             raise ValueError(
-                "num_workers must be >= 1; use configured_worker_count()"
-                " == 0 (PERCIVAL_WORKERS=0) to disable sharding instead"
+                "num_workers must be >= 1; use PERCIVAL_WORKERS=0 (or"
+                " num_workers=0 on the config) to disable sharding instead"
             )
+        if respawn_budget < 0:
+            raise ValueError("respawn_budget must be >= 0")
         if respawn_backoff_s < 0:
             raise ValueError("respawn_backoff_s must be >= 0")
         self.num_workers = int(num_workers)
         self.timeout_s = float(timeout_s)
-        #: worker replacements (after a death) this pool may still make;
-        #: None defers to the PERCIVAL_RESPAWN_BUDGET knob
-        self.respawn_budget = configured_respawn_budget(respawn_budget)
+        #: worker replacements (after a death) this pool may still make
+        self.respawn_budget = int(respawn_budget)
         self.respawn_backoff_s = float(respawn_backoff_s)
         self._ctx = (
             mp.get_context(start_method)

@@ -15,7 +15,7 @@ Everything is behind the ``PERCIVAL_DIFF`` knob; off is bit-identical
 to the pre-diff pipeline.
 """
 
-from repro.diff.differ import DiffStats, FrameDiffer, resolve_differ
+from repro.diff.differ import DiffStats, FrameDiffer
 from repro.diff.semantic_filter import DiffPlan, semantic_filter
 from repro.diff.snapshot import (
     PageSnapshot,
@@ -41,7 +41,6 @@ __all__ = [
     "apply_diff",
     "content_key_for_payload",
     "display_digest",
-    "resolve_differ",
     "semantic_filter",
     "tree_diff",
 ]

@@ -16,9 +16,9 @@ two granularities the pipeline needs:
 
 Like every speed layer before it (workers, precision, lanes, cascade),
 the differ is **off by default** and the off-path is bit-identical:
-:func:`resolve_differ` mirrors ``resolve_cascade`` — ``None`` defers
-to the ``PERCIVAL_DIFF`` knob, ``False`` pins it off, an instance is
-used as-is.
+a front's ``differ=None`` defers to the ``PERCIVAL_DIFF`` knob,
+``False`` pins it off, an instance is used as-is (see
+:func:`repro.serve.tiers.resolve_tiers`).
 """
 
 from __future__ import annotations
@@ -157,33 +157,3 @@ class FrameDiffer:
             return
         self.store.upsert_region(session_id, page_key, record)
         self.stats.remembered += 1
-
-
-def resolve_differ(
-    differ: "FrameDiffer | None | bool",
-    config,
-) -> Optional[FrameDiffer]:
-    """Normalize a ``differ=`` constructor argument.
-
-    ``None`` defers to the configuration (``PercivalConfig.
-    diff_enabled`` / the ``PERCIVAL_DIFF`` knob) and builds a default
-    store when enabled; ``False`` pins the differ off regardless of the
-    environment (the bit-identical pre-diff path); a
-    :class:`FrameDiffer` instance is used as-is.
-    """
-    from repro.core.config import (
-        configured_diff_capacity,
-        configured_diff_enabled,
-    )
-
-    if differ is False:
-        return None
-    if isinstance(differ, FrameDiffer):
-        return differ
-    if differ is not None:
-        raise TypeError(
-            "differ must be a FrameDiffer, None (auto), or False (off)"
-        )
-    if configured_diff_enabled(getattr(config, "diff_enabled", None)):
-        return FrameDiffer(capacity=configured_diff_capacity())
-    return None

@@ -41,7 +41,6 @@ from repro.resilience.chaos import (
     ChaosEvent,
     ChaosInjectedError,
     ChaosSchedule,
-    resolve_chaos,
 )
 from repro.resilience.degrade import (
     LEVELS,
@@ -49,11 +48,7 @@ from repro.resilience.degrade import (
     LadderSettings,
     LadderTransition,
 )
-from repro.resilience.plane import (
-    GUARDED_TIERS,
-    ResiliencePlane,
-    resolve_resilience,
-)
+from repro.resilience.plane import GUARDED_TIERS, ResiliencePlane
 
 __all__ = [
     "BreakerSettings",
@@ -79,6 +74,4 @@ __all__ = [
     "STATE_HALF_OPEN",
     "STATE_OPEN",
     "TierBreaker",
-    "resolve_chaos",
-    "resolve_resilience",
 ]

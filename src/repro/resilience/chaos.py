@@ -310,30 +310,3 @@ class ChaosCursor:
             fail = getattr(pool, "chaos_fail_next_publish", None)
             if fail is not None:
                 fail()
-
-
-def resolve_chaos(
-    chaos: "ChaosSchedule | None | bool",
-    config,
-) -> Optional[ChaosSchedule]:
-    """Normalize a ``chaos=`` constructor argument.
-
-    ``None`` defers to the ``PERCIVAL_CHAOS`` environment knob (a seed
-    for :meth:`ChaosSchedule.seeded`; unset/off means no chaos — the
-    bit-identical fault-free path); ``False`` pins chaos off regardless
-    of the environment; a :class:`ChaosSchedule` is used as-is.
-    """
-    from repro.core.config import configured_chaos_seed
-
-    if chaos is False:
-        return None
-    if isinstance(chaos, ChaosSchedule):
-        return chaos
-    if chaos is not None:
-        raise TypeError(
-            "chaos must be a ChaosSchedule, None (auto), or False (off)"
-        )
-    seed = configured_chaos_seed(getattr(config, "chaos_seed", None))
-    if seed is None:
-        return None
-    return ChaosSchedule.seeded(seed)

@@ -12,8 +12,8 @@ stats use).
 The plane is deliberately stateful-across-runs, like the cascade's
 rule cache: a fleet replay shares one plane across epochs so breakers
 tripped at the peak stay tripped into the next epoch.  It is off by
-default; :func:`resolve_resilience` turns it on for chaos replays and
-under the ``PERCIVAL_RESILIENCE`` knob, so the plain serving path
+default; :func:`repro.serve.tiers.resolve_tiers` turns it on for chaos
+replays and under the ``PERCIVAL_RESILIENCE`` knob, so the plain serving path
 stays bit-identical to the pre-resilience stack.
 """
 
@@ -88,35 +88,3 @@ class ResiliencePlane:
             f" chaos={self.chaos_injected}"
             f" tier_errors={self.tier_errors}"
         )
-
-
-def resolve_resilience(
-    resilience: "ResiliencePlane | None | bool",
-    config,
-    chaos_active: bool = False,
-) -> Optional[ResiliencePlane]:
-    """Normalize a ``resilience=`` constructor argument.
-
-    ``None`` defers to the environment: the ``PERCIVAL_RESILIENCE``
-    knob turns the plane on, and an active chaos schedule implies it
-    (a chaos replay without breakers or the ladder would just measure
-    unmitigated damage).  ``False`` pins the plane off regardless — the
-    bit-identical pre-resilience path.  A plane instance is used as-is
-    (the fleet simulator shares one across epochs this way).
-    """
-    from repro.core.config import configured_resilience_enabled
-
-    if resilience is False:
-        return None
-    if isinstance(resilience, ResiliencePlane):
-        return resilience
-    if resilience is not None:
-        raise TypeError(
-            "resilience must be a ResiliencePlane, None (auto),"
-            " or False (off)"
-        )
-    if chaos_active or configured_resilience_enabled(
-        getattr(config, "resilience_enabled", None)
-    ):
-        return ResiliencePlane()
-    return None

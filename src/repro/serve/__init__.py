@@ -36,21 +36,10 @@ the graceful-degradation ladder in front of every tier — see
 """
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeRouter, CascadeStats, resolve_cascade
-from repro.core.config import (
-    ServeSettings,
-    configured_cascade_enabled,
-    configured_diff_enabled,
-    configured_serve_lanes,
-    configured_serve_settings,
-)
-from repro.diff.differ import DiffStats, FrameDiffer, resolve_differ
-from repro.resilience import (
-    ChaosSchedule,
-    ResiliencePlane,
-    resolve_chaos,
-    resolve_resilience,
-)
+from repro.cascade.router import CascadeRouter, CascadeStats
+from repro.core.config import ServeSettings
+from repro.diff.differ import DiffStats, FrameDiffer
+from repro.resilience import ChaosSchedule, ResiliencePlane
 from repro.serve.loop import (
     ArrivalEvent,
     AsyncServeFront,
@@ -73,6 +62,7 @@ from repro.serve.session import (
     TrafficSpec,
     synthesize_traffic,
 )
+from repro.serve.tiers import resolve_tiers
 from repro.serve.fleet import (
     FleetReport,
     FleetSimulator,
@@ -109,13 +99,6 @@ __all__ = [
     "ServeSettings",
     "ServeStats",
     "TrafficSpec",
-    "configured_cascade_enabled",
-    "configured_diff_enabled",
-    "configured_serve_lanes",
-    "configured_serve_settings",
-    "resolve_cascade",
-    "resolve_chaos",
-    "resolve_differ",
-    "resolve_resilience",
+    "resolve_tiers",
     "synthesize_traffic",
 ]

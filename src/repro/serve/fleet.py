@@ -37,10 +37,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 from repro.core.blocker import PercivalBlocker
-from repro.core.config import ServeSettings, configured_serve_settings
+from repro.core.config import ServeSettings
 from repro.eval.reporting import format_table
 from repro.serve.loop import ServeLoop, ServeReport
 from repro.serve.session import TrafficSpec, synthesize_traffic
+from repro.serve.tiers import resolve_tiers
 
 
 @dataclass(frozen=True)
@@ -254,31 +255,27 @@ class FleetSimulator:
         chaos: "object | None | bool" = None,
         resilience: "object | None | bool" = None,
     ) -> None:
-        # leaf import: only the fleet constructor resolves the knob
-        from repro.cascade.router import resolve_cascade
-        from repro.resilience import resolve_chaos, resolve_resilience
-
         if initial_lanes < 1:
             raise ValueError("initial_lanes must be >= 1")
         self.blocker = blocker
-        self.settings = configured_serve_settings(settings)
+        self.settings = settings or ServeSettings.from_env()
         self.policy = policy or SLOPolicy()
         self.compute_model = compute_model
         self.initial_lanes = initial_lanes
-        #: resolved once and shared by every epoch's ServeLoop, so the
-        #: compiled rule cache (and its quarantine) persists across the
-        #: whole simulated day — rules learned at dawn serve the peak
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: the same seeded schedule replays inside every epoch (each
-        #: epoch's run walks it with a fresh cursor over its own clock)
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        #: one plane shared across the day, like the cascade's rule
-        #: cache: breakers tripped at the peak stay tripped into the
-        #: next epoch, and the dwell ledger spans the whole replay
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
+        # Every tier resolves once and is shared by every epoch's
+        # ServeLoop.  The compiled rule cache (and its quarantine) and
+        # the diff snapshots persist across the whole simulated day —
+        # rules learned at dawn serve the peak; the same seeded chaos
+        # schedule replays inside every epoch (each run walks it with a
+        # fresh cursor over its own clock); and breakers tripped at the
+        # peak stay tripped into the next epoch, with the dwell ledger
+        # spanning the whole replay.  The differ has no constructor
+        # argument here: the blocker's config and PERCIVAL_DIFF decide.
+        self.cascade, self.differ, self.chaos, self.resilience = (
+            resolve_tiers(
+                blocker.classifier.config,
+                cascade, None, chaos, resilience,
+            )
         )
 
     def run(self, spec: Optional[FleetSpec] = None) -> FleetReport:
@@ -310,6 +307,7 @@ class FleetSimulator:
                 # `or False`: a resolved None must stay off inside the
                 # epoch loop even if the environment knob flips mid-run
                 cascade=self.cascade or False,
+                differ=self.differ or False,
                 chaos=self.chaos or False,
                 resilience=self.resilience or False,
             )

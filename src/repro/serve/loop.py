@@ -77,19 +77,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeRouter, resolve_cascade
+from repro.cascade.router import CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
-from repro.core.config import (
-    ServeSettings,
-    configured_serve_lanes,
-    configured_serve_settings,
-)
-from repro.diff.differ import FrameDiffer, resolve_differ
-from repro.resilience.chaos import ChaosSchedule, resolve_chaos
-from repro.resilience.plane import ResiliencePlane, resolve_resilience
+from repro.core.config import ServeSettings, knob
+from repro.diff.differ import FrameDiffer
+from repro.resilience.chaos import ChaosSchedule
+from repro.resilience.plane import ResiliencePlane
 from repro.serve.metrics import ServeStats
 from repro.serve.queue import PRIORITY_VIEWPORT, BatchQueue, ServeRequest
-from repro.serve.tiers import TierChain, _pool_capacity
+from repro.serve.tiers import TierChain, _pool_capacity, resolve_tiers
 from repro.utils.clock import VirtualClock
 
 
@@ -257,28 +253,20 @@ class ServeLoop:
         resilience: "ResiliencePlane | None | bool" = None,
     ) -> None:
         self.blocker = blocker
-        self.settings = configured_serve_settings(settings)
+        self.settings = settings or ServeSettings.from_env()
         self.compute_model = (
             compute_model
             if compute_model is not None
             else BatchComputeModel.from_blocker(blocker)
         )
-        #: confidence router in front of the memo/queue tiers; None =
-        #: off (auto-resolved from PERCIVAL_CASCADE when unspecified)
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: per-session snapshot/diff layer in front of everything; None
-        #: = off (auto-resolved from PERCIVAL_DIFF when unspecified)
-        self.differ = resolve_differ(differ, blocker.classifier.config)
-        #: seeded fault-injection schedule; None = off (auto-resolved
-        #: from PERCIVAL_CHAOS when unspecified)
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        #: breakers + degradation ladder; None = off (auto-resolved
-        #: from PERCIVAL_RESILIENCE, and implied by an active chaos
-        #: schedule, when unspecified)
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
+        #: the confidence router, the per-session snapshot differ, the
+        #: seeded fault schedule and the breakers + ladder; each None
+        #: when off (see :func:`~repro.serve.tiers.resolve_tiers`)
+        self.cascade, self.differ, self.chaos, self.resilience = (
+            resolve_tiers(
+                blocker.classifier.config,
+                cascade, differ, chaos, resilience,
+            )
         )
 
     def resolved_lanes(self) -> int:
@@ -290,7 +278,7 @@ class ServeLoop:
         simulator overlaps exactly as many flushes as the pool has
         workers to absorb — else 1 (poolless = one in-process lane).
         """
-        explicit = configured_serve_lanes(self.settings.lanes)
+        explicit = knob("PERCIVAL_SERVE_LANES", self.settings.lanes)
         if explicit is not None:
             return explicit
         return max(_pool_capacity(self.blocker.pool), 1)
@@ -533,18 +521,16 @@ class AsyncServeFront:
         resilience: "ResiliencePlane | None | bool" = None,
     ) -> None:
         self.blocker = blocker
-        self.settings = configured_serve_settings(settings)
+        self.settings = settings or ServeSettings.from_env()
         self.use_executor = use_executor
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        self.differ = resolve_differ(differ, blocker.classifier.config)
         #: chaos here runs on the front's real-millisecond clock; the
         #: invariant it exercises is value-independence (every resolved
         #: future's P(ad) is fault-free-identical), not replay timing
-        self.chaos = resolve_chaos(chaos, blocker.classifier.config)
-        self.resilience = resolve_resilience(
-            resilience,
-            blocker.classifier.config,
-            chaos_active=self.chaos is not None,
+        self.cascade, self.differ, self.chaos, self.resilience = (
+            resolve_tiers(
+                blocker.classifier.config,
+                cascade, differ, chaos, resilience,
+            )
         )
         self._chain = TierChain(
             blocker, self.cascade, self.differ, self.resilience,

@@ -23,17 +23,16 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeAudit, CascadeRouter, resolve_cascade
+from repro.cascade.router import CascadeAudit, CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
-from repro.core.config import ServeSettings, configured_serve_settings
-from repro.diff.differ import resolve_differ
+from repro.core.config import ServeSettings
 from repro.serve.loop import ArrivalEvent, BatchComputeModel
 from repro.serve.queue import (
     PRIORITY_BELOW_FOLD,
     PRIORITY_VIEWPORT,
     ServeRequest,
 )
-from repro.serve.tiers import Answer, TierChain
+from repro.serve.tiers import Answer, TierChain, resolve_tiers
 from repro.utils.rng import spawn_rng
 
 
@@ -320,15 +319,17 @@ class RenderServeBridge:
         differ=None,
     ) -> None:
         self.blocker = blocker
-        self.settings = configured_serve_settings(settings)
+        self.settings = settings or ServeSettings.from_env()
         self.compute_model = BatchComputeModel.from_blocker(blocker)
-        self.cascade = resolve_cascade(cascade, blocker.classifier.config)
-        #: session-scoped snapshot differ; the renderer picks this up so
-        #: revisits of a page inherit unchanged regions' verdicts before
-        #: any decode happens (None = diff off).  The renderer drives it
-        #: page by page (plan/commit), so the chain's per-frame diff
-        #: tier stays off here.
-        self.differ = resolve_differ(differ, blocker.classifier.config)
+        #: ``differ`` is the session-scoped snapshot differ; the
+        #: renderer picks it up so revisits of a page inherit unchanged
+        #: regions' verdicts before any decode happens (None = diff
+        #: off).  The renderer drives it page by page (plan/commit), so
+        #: the chain's per-frame diff tier stays off here.
+        self.cascade, self.differ, _, _ = resolve_tiers(
+            blocker.classifier.config, cascade, differ,
+            chaos=False, resilience=False,
+        )
         self._chain = TierChain(blocker, cascade=self.cascade)
         #: enqueued requests, drained most-urgent first and FIFO within
         #: a priority class (``request_id`` is the enqueue sequence)

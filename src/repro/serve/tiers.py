@@ -21,10 +21,12 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     TypeVar,
@@ -32,9 +34,14 @@ from typing import (
 
 from repro.cascade.router import CascadeHit, CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
+from repro.core.config import PercivalConfig, knob
 from repro.diff.differ import FrameDiffer
 from repro.diff.snapshot import RegionRecord
-from repro.resilience.chaos import ChaosCursor, ChaosInjectedError
+from repro.resilience.chaos import (
+    ChaosCursor,
+    ChaosInjectedError,
+    ChaosSchedule,
+)
 from repro.resilience.plane import ResiliencePlane
 from repro.serve.metrics import ServeStats
 from repro.serve.queue import PRIORITY_VIEWPORT, BatchQueue, ServeRequest
@@ -51,6 +58,68 @@ class Answer:
     decision: Optional[BlockDecision] = None
     #: the rule tier that answered ("micro"/"list"), "" otherwise
     rule_tier: str = ""
+
+
+class Tiers(NamedTuple):
+    """A front's resolved optional tiers; ``None`` = that tier is off."""
+
+    cascade: Optional[CascadeRouter]
+    differ: Optional[FrameDiffer]
+    chaos: Optional[ChaosSchedule]
+    resilience: Optional[ResiliencePlane]
+
+
+def _tier(name: str, given: Any, kind: type, auto: Callable[[], Any]):
+    """One tier argument: ``False`` pins it off, an instance of
+    ``kind`` is used as-is, ``None`` defers to ``auto()``."""
+    if given is False:
+        return None
+    if isinstance(given, kind):
+        return given
+    if given is not None:
+        raise TypeError(
+            f"{name} must be a {kind.__name__}, None (auto), or False (off)"
+        )
+    return auto()
+
+
+def resolve_tiers(
+    config: PercivalConfig,
+    cascade: "CascadeRouter | None | bool" = None,
+    differ: "FrameDiffer | None | bool" = None,
+    chaos: "ChaosSchedule | None | bool" = None,
+    resilience: "ResiliencePlane | None | bool" = None,
+) -> Tiers:
+    """Resolve a front's ``cascade=``/``differ=``/``chaos=``/
+    ``resilience=`` arguments, once, at construction.
+
+    ``False`` pins a tier off (the bit-identical path without it), an
+    instance is used as-is, and ``None`` defers to ``config``'s field,
+    then the tier's ``PERCIVAL_*`` knob.  An active chaos schedule
+    implies the resilience plane: a replay without breakers or the
+    ladder would only measure unmitigated damage.
+    """
+    router = _tier("cascade", cascade, CascadeRouter, lambda: (
+        CascadeRouter.with_default_filterlist(
+            confidence=config.cascade_confidence
+        )
+        if knob("PERCIVAL_CASCADE", config.cascade_enabled)
+        else None
+    ))
+    frame_differ = _tier("differ", differ, FrameDiffer, lambda: (
+        FrameDiffer() if knob("PERCIVAL_DIFF", config.diff_enabled) else None
+    ))
+    schedule = _tier("chaos", chaos, ChaosSchedule, lambda: (
+        None
+        if (seed := knob("PERCIVAL_CHAOS")) is None
+        else ChaosSchedule.seeded(seed)
+    ))
+    plane = _tier("resilience", resilience, ResiliencePlane, lambda: (
+        ResiliencePlane()
+        if schedule is not None or knob("PERCIVAL_RESILIENCE")
+        else None
+    ))
+    return Tiers(router, frame_differ, schedule, plane)
 
 
 def _pool_capacity(pool: object) -> int:

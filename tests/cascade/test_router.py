@@ -1,12 +1,14 @@
-"""CascadeRouter semantics: tier order, trust model, resolve knob."""
+"""CascadeRouter semantics: tier order, trust model, and the cascade
+tier's resolution (:func:`repro.serve.tiers.resolve_tiers`)."""
 
 import pytest
 
 from repro.cascade import CascadeAudit, CascadeHit, CascadeRouter, FrameProvenance
-from repro.cascade.router import TIER_LIST, TIER_MICRO, resolve_cascade
+from repro.cascade.router import TIER_LIST, TIER_MICRO
 from repro.core.blocker import BlockDecision
 from repro.core.config import PercivalConfig
 from repro.filterlist.engine import FilterEngine
+from repro.serve.tiers import resolve_tiers
 
 AD_URL = "https://ads.example/banner/x.png"
 CONTENT_URL = "https://cdn.pub.example/img/cat.jpg"
@@ -195,6 +197,11 @@ class TestInvalidationStats:
         assert router.stats.shadow_invalidations == 1
         assert router.stats.audit_invalidations == 0
         assert router.stats.invalidations == 1
+
+
+def resolve_cascade(cascade, config):
+    """The cascade tier a front resolves for ``cascade=``."""
+    return resolve_tiers(config, cascade=cascade).cascade
 
 
 class TestResolveCascade:

@@ -16,7 +16,7 @@ from repro.core import (
     InferenceWorkerPool,
     PercivalBlocker,
     PercivalConfig,
-    configured_precision,
+    knob,
 )
 from repro.core.classifier import PrecisionRejectedError
 
@@ -30,24 +30,24 @@ def _nchw(classifier, count, seed=0):
 class TestConfiguredPrecision:
     def test_default_is_fp32(self, monkeypatch):
         monkeypatch.delenv("PERCIVAL_PRECISION", raising=False)
-        assert configured_precision() == "fp32"
+        assert knob("PERCIVAL_PRECISION") == "fp32"
 
     def test_env_sets_precision(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_PRECISION", "int8")
-        assert configured_precision() == "int8"
+        assert knob("PERCIVAL_PRECISION") == "int8"
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_PRECISION", "int8")
-        assert configured_precision("fp16") == "fp16"
+        assert knob("PERCIVAL_PRECISION", "fp16") == "fp16"
 
     def test_invalid_env_raises(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_PRECISION", "int4")
         with pytest.raises(ValueError):
-            configured_precision()
+            knob("PERCIVAL_PRECISION")
 
     def test_empty_env_is_fp32(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_PRECISION", "")
-        assert configured_precision() == "fp32"
+        assert knob("PERCIVAL_PRECISION") == "fp32"
 
     def test_config_field_resolves(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_PRECISION", "fp16")

@@ -3,11 +3,7 @@
 
 import pytest
 
-from repro.core.config import (
-    PercivalConfig,
-    configured_diff_capacity,
-    configured_diff_enabled,
-)
+from repro.core.config import PercivalConfig, knob
 from repro.diff import (
     FrameDiffer,
     RegionRecord,
@@ -15,8 +11,8 @@ from repro.diff import (
     SnapshotStore,
     content_key_for_payload,
     display_digest,
-    resolve_differ,
 )
+from repro.serve.tiers import resolve_tiers
 
 
 def _view(url="https://a.example/x.png", content_key="ck", **kwargs):
@@ -138,34 +134,32 @@ class TestDiffKnob:
             ("true", True),
         ):
             monkeypatch.setenv("PERCIVAL_DIFF", raw)
-            assert configured_diff_enabled(None) is expected
+            assert knob("PERCIVAL_DIFF") is expected
         monkeypatch.setenv("PERCIVAL_DIFF", "maybe")
         with pytest.raises(ValueError):
-            configured_diff_enabled(None)
+            knob("PERCIVAL_DIFF")
 
     def test_explicit_beats_environment(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_DIFF", "on")
-        assert configured_diff_enabled(False) is False
+        assert knob("PERCIVAL_DIFF", False) is False
         monkeypatch.delenv("PERCIVAL_DIFF")
-        assert configured_diff_enabled(True) is True
-        assert configured_diff_enabled(None) is False
-
-    def test_capacity_knob(self, monkeypatch):
-        monkeypatch.delenv("PERCIVAL_DIFF_CAPACITY", raising=False)
-        assert configured_diff_capacity() == 512
-        monkeypatch.setenv("PERCIVAL_DIFF_CAPACITY", "16")
-        assert configured_diff_capacity() == 16
+        assert knob("PERCIVAL_DIFF", True) is True
+        assert knob("PERCIVAL_DIFF") is False
 
     def test_resolve_differ(self, monkeypatch):
         config = PercivalConfig()
+
+        def resolve_differ(differ):
+            return resolve_tiers(config, differ=differ).differ
+
         monkeypatch.delenv("PERCIVAL_DIFF", raising=False)
-        assert resolve_differ(None, config) is None
+        assert resolve_differ(None) is None
         monkeypatch.setenv("PERCIVAL_DIFF", "on")
-        auto = resolve_differ(None, config)
+        auto = resolve_differ(None)
         assert isinstance(auto, FrameDiffer)
         # False pins off regardless of the environment
-        assert resolve_differ(False, config) is None
+        assert resolve_differ(False) is None
         instance = FrameDiffer()
-        assert resolve_differ(instance, config) is instance
+        assert resolve_differ(instance) is instance
         with pytest.raises(TypeError):
-            resolve_differ("on", config)
+            resolve_differ("on")

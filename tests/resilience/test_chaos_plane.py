@@ -15,10 +15,9 @@ from repro.resilience import (
     ChaosEvent,
     ChaosSchedule,
     ResiliencePlane,
-    resolve_chaos,
-    resolve_resilience,
 )
 from repro.serve import ArrivalEvent, ServeLoop
+from repro.serve.tiers import resolve_tiers
 
 SETTINGS = ServeSettings(max_batch=4, max_wait_ms=2.0, max_depth=256, lanes=1)
 
@@ -141,6 +140,18 @@ class TestCursorWindows:
         assert cursor.latency_multiplier(5.0) == 4.0   # worst, not product
         assert cursor.latency_multiplier(15.0) == 2.0  # first expired
         assert cursor.latency_multiplier(30.0) == 1.0
+
+
+def resolve_chaos(chaos, config):
+    """The chaos tier a front resolves for ``chaos=``."""
+    return resolve_tiers(config, chaos=chaos).chaos
+
+
+def resolve_resilience(resilience, config, chaos_active=False):
+    """The plane a front resolves for ``resilience=``, with or without
+    an active chaos schedule beside it."""
+    chaos = ChaosSchedule.seeded(0) if chaos_active else False
+    return resolve_tiers(config, chaos=chaos, resilience=resilience).resilience
 
 
 class TestEnvironmentResolution:

@@ -8,7 +8,7 @@ request — conservation holds per epoch and fleet-wide.
 
 import pytest
 
-from repro.core import PercivalBlocker, ServeSettings
+from repro.core import AdClassifier, PercivalBlocker, PercivalConfig, ServeSettings
 from repro.serve import (
     FleetSimulator,
     FleetSpec,
@@ -172,6 +172,31 @@ class TestFleetReplay:
         ).run(_spec(epochs=2))
         table = report.to_table()
         assert "epoch" in table and "conserved=True" in table
+
+    def test_diff_tier_resolves_once_per_replay(
+        self, untrained_classifier, monkeypatch
+    ):
+        """Every epoch loop holds the fleet's one differ, so snapshots
+        persist across the day like the cascade's rule cache."""
+        monkeypatch.setenv("PERCIVAL_DIFF", "on")
+        simulator = FleetSimulator(
+            _blocker(untrained_classifier), _SETTINGS,
+            cascade=False, chaos=False, resilience=False,
+        )
+        report = simulator.run(_spec(epochs=3))
+        assert simulator.differ is not None
+        assert all(
+            e.report.stats.diff is simulator.differ.stats
+            for e in report.epochs
+        )
+
+    def test_config_pins_the_diff_tier_off(self, monkeypatch):
+        monkeypatch.setenv("PERCIVAL_DIFF", "on")
+        classifier = AdClassifier(PercivalConfig(diff_enabled=False))
+        simulator = FleetSimulator(_blocker(classifier), _SETTINGS)
+        report = simulator.run(_spec(epochs=3))
+        assert simulator.differ is None
+        assert all(e.report.stats.diff is None for e in report.epochs)
 
     def test_rejects_invalid_initial_lanes(self, untrained_classifier):
         with pytest.raises(ValueError):

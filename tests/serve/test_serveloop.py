@@ -11,8 +11,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.core import PercivalBlocker, ServeSettings, configured_serve_settings
-from repro.core.config import configured_serve_lanes
+from repro.core import PercivalBlocker, ServeSettings, knob
 from repro.serve import (
     ArrivalEvent,
     AsyncServeFront,
@@ -382,16 +381,17 @@ class TestAsyncServeFront:
 
 
 class TestServeKnobs:
-    def test_explicit_settings_win(self, monkeypatch):
+    def test_explicit_settings_win(self, untrained_classifier, monkeypatch):
         monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "99")
         explicit = ServeSettings(max_batch=4)
-        assert configured_serve_settings(explicit) is explicit
+        loop = ServeLoop(_blocker(untrained_classifier), explicit)
+        assert loop.settings is explicit
 
     def test_env_knobs_resolve(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "32")
         monkeypatch.setenv("PERCIVAL_SERVE_MAX_WAIT_MS", "7.5")
         monkeypatch.setenv("PERCIVAL_SERVE_MAX_DEPTH", "256")
-        settings = configured_serve_settings()
+        settings = ServeSettings.from_env()
         assert settings.max_batch == 32
         assert settings.max_wait_ms == 7.5
         assert settings.max_depth == 256
@@ -405,31 +405,34 @@ class TestServeKnobs:
             "PERCIVAL_SERVE_LANES",
         ):
             monkeypatch.delenv(name, raising=False)
-        assert configured_serve_settings() == ServeSettings()
-        assert configured_serve_lanes() is None
+        assert ServeSettings.from_env() == ServeSettings()
+        assert knob("PERCIVAL_SERVE_LANES") is None
 
     def test_invalid_env_raises_with_name(self, monkeypatch):
-        monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "lots")
-        with pytest.raises(ValueError, match="PERCIVAL_SERVE_MAX_BATCH"):
-            configured_serve_settings()
+        # a parse error, a floor error, and a cross-field error
+        # (max_depth defaults to 128 < 200) all name the variable
+        for raw in ("lots", "0", "200"):
+            monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", raw)
+            with pytest.raises(ValueError, match="PERCIVAL_SERVE_MAX_BATCH"):
+                ServeSettings.from_env()
 
     def test_lanes_env_knob(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "3")
-        assert configured_serve_lanes() == 3
+        assert knob("PERCIVAL_SERVE_LANES") == 3
         # an explicit setting always wins over the environment
-        assert configured_serve_lanes(5) == 5
+        assert knob("PERCIVAL_SERVE_LANES", 5) == 5
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "auto")
-        assert configured_serve_lanes() is None
+        assert knob("PERCIVAL_SERVE_LANES") is None
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "0")
         with pytest.raises(ValueError, match="PERCIVAL_SERVE_LANES"):
-            configured_serve_lanes()
+            knob("PERCIVAL_SERVE_LANES")
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "many")
         with pytest.raises(ValueError, match="PERCIVAL_SERVE_LANES"):
-            configured_serve_lanes()
+            knob("PERCIVAL_SERVE_LANES")
 
     def test_aging_env_knob(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_SERVE_AGING_MS", "2.5")
-        assert configured_serve_settings().aging_ms == 2.5
+        assert ServeSettings.from_env().aging_ms == 2.5
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError):
