@@ -20,8 +20,14 @@ _CENTER = 0.5
 _SCALE = 2.0
 
 
-def preprocess_bitmap(bitmap: np.ndarray, input_size: int) -> np.ndarray:
-    """One decoded bitmap (H, W, C) -> network tensor (4, S, S)."""
+def _preprocess_into(
+    bitmap: np.ndarray, input_size: int, out: np.ndarray
+) -> None:
+    """Write one decoded bitmap (H, W, C) into ``out`` (4, S, S).
+
+    The CHW transpose and the centering happen in the write itself, in
+    float32, so no per-frame tensor is materialized.
+    """
     if bitmap.ndim != 3:
         raise ValueError("expected (H, W, C) bitmap")
     if bitmap.shape[2] == 3:
@@ -30,16 +36,25 @@ def preprocess_bitmap(bitmap: np.ndarray, input_size: int) -> np.ndarray:
     elif bitmap.shape[2] != 4:
         raise ValueError(f"unsupported channel count {bitmap.shape[2]}")
     resized = resize_bitmap(bitmap, input_size, input_size)
-    tensor = resized.transpose(2, 0, 1).astype(np.float32)
-    return (tensor - _CENTER) * _SCALE
+    np.subtract(resized.transpose(2, 0, 1), _CENTER, out=out)
+    np.multiply(out, _SCALE, out=out)
+
+
+def preprocess_bitmap(bitmap: np.ndarray, input_size: int) -> np.ndarray:
+    """One decoded bitmap (H, W, C) -> network tensor (4, S, S)."""
+    tensor = np.empty((4, input_size, input_size), dtype=np.float32)
+    _preprocess_into(bitmap, input_size, tensor)
+    return tensor
 
 
 def preprocess_batch(
     bitmaps: Sequence[np.ndarray], input_size: int
 ) -> np.ndarray:
-    """Stack preprocessed bitmaps into an NCHW batch."""
-    if not bitmaps:
-        return np.empty((0, 4, input_size, input_size), dtype=np.float32)
-    return np.stack(
-        [preprocess_bitmap(b, input_size) for b in bitmaps], axis=0
+    """Preprocess bitmaps straight into one NCHW batch; equal, bit for
+    bit, to stacking ``preprocess_bitmap`` of each."""
+    batch = np.empty(
+        (len(bitmaps), 4, input_size, input_size), dtype=np.float32
     )
+    for bitmap, tensor in zip(bitmaps, batch):
+        _preprocess_into(bitmap, input_size, tensor)
+    return batch

@@ -43,7 +43,7 @@ from repro.nn import (
     compile_inference,
 )
 from repro.utils.rng import spawn_rng
-from repro.utils.timing import Timer
+from repro.utils.timing import interleaved_samples_ms
 
 
 @dataclass
@@ -151,8 +151,9 @@ def run_compression_ablation(
             ):
                 variants.append(variant)
                 runners.append(runner)
-    for variant, latency in zip(variants, _interleaved_latency_ms(runners)):
-        variant.latency_ms = latency
+    samples = interleaved_samples_ms(runners, LATENCY_ROUNDS)
+    for variant, times in zip(variants, samples):
+        variant.latency_ms = float(np.median(times))
     return CompressionResult(variants)
 
 
@@ -177,27 +178,6 @@ def _deploy_runner(network, probe: np.ndarray) -> Callable[[], object]:
 #: timing rounds per variant; sub-millisecond forwards need many
 #: samples before their medians order reliably
 LATENCY_ROUNDS = 51
-
-
-def _interleaved_latency_ms(
-    runners: List[Callable[[], object]], rounds: int = LATENCY_ROUNDS
-) -> List[float]:
-    """Median wall-clock latency (ms) of each runner.
-
-    Each round times every runner once, back to back, so a slow
-    stretch of a shared host lands on all variants alike instead of on
-    whichever one it happened to catch; one untimed warm-up call per
-    runner absorbs first-call costs.
-    """
-    for runner in runners:
-        runner()
-    samples: List[List[float]] = [[] for _ in runners]
-    for _ in range(rounds):
-        for runner, times in zip(runners, samples):
-            with Timer() as timer:
-                runner()
-            times.append(timer.elapsed_ms)
-    return [float(np.median(times)) for times in samples]
 
 
 def _plan_accuracy(plan, images: np.ndarray, labels: np.ndarray,

@@ -12,6 +12,7 @@ drivers use.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -257,19 +258,73 @@ def price_flash(img: np.ndarray, rng: np.random.Generator) -> None:
     fill_rect(img, cx - radius // 2, cy - 1, radius, 2, (0.8, 0.1, 0.1))
 
 
+@lru_cache(maxsize=256)
+def _zoom_taps(
+    n_in: int, n_out: int, repeat: int = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Source taps and weights of one axis of an order-1 ``ndimage.zoom``.
+
+    Returns ``(index, weight)``.  ``index`` has ``2 * n_out`` entries:
+    every output sample's lower tap, then every upper tap.  ``weight``
+    holds the matching weights, each repeated ``repeat`` times so they
+    line up with a row of interleaved channels.
+
+    The arithmetic is scipy's, step for step, so the resize is bitwise
+    equal to it: the coordinate ``k * ((n_in - 1) / (n_out - 1))`` is
+    *not* clamped (``71 * (249 / 71)`` lands a hair past the last
+    pixel, and scipy interpolates there), only the taps are; and the
+    upper weight is ``1 - (1 - t)``, not ``t``, because scipy derives
+    the last weight from the sum.
+    """
+    zoom = (n_in - 1) / (n_out - 1) if n_out > 1 else 1.0
+    coord = np.arange(n_out, dtype=np.float64) * zoom
+    lower = np.floor(coord)
+    w_lower = 1.0 - (coord - lower)
+    lower = lower.astype(np.intp)
+    index = np.minimum(np.concatenate([lower, lower + 1]), n_in - 1)
+    weight = np.repeat(np.concatenate([w_lower, 1.0 - w_lower]), repeat)
+    index.flags.writeable = weight.flags.writeable = False
+    return index, weight
+
+
 def resize_bitmap(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resize an RGBA bitmap with bilinear interpolation.
+    """Resize an (H, W, C) float bitmap with bilinear interpolation.
 
     Stands in for the scaling step PERCIVAL performs before inference
-    ("scales it to 224x224x4", §3.3).
+    ("scales it to 224x224x4", §3.3).  The result is clipped to [0, 1]
+    and bitwise equal to ``ndimage.zoom(img, ..., order=1,
+    mode="nearest")`` followed by that clip; ``docs/inference.md``
+    states the contract.
     """
     if img.shape[0] == height and img.shape[1] == width:
         return img.astype(np.float32, copy=True)
-    zoom = (height / img.shape[0], width / img.shape[1], 1.0)
-    out = ndimage.zoom(img, zoom, order=1, mode="nearest")
-    # zoom can be off by one pixel on some ratios; crop/pad to exact size.
-    out = out[:height, :width]
-    if out.shape[0] < height or out.shape[1] < width:
-        pad = ((0, height - out.shape[0]), (0, width - out.shape[1]), (0, 0))
-        out = np.pad(out, pad, mode="edge")
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+    src = np.ascontiguousarray(img)
+    if not np.issubdtype(src.dtype, np.floating):
+        raise TypeError(f"expected a float bitmap, got {src.dtype}")
+    src_h, src_w, channels = src.shape
+    rows, row_weight = _zoom_taps(src_h, height)
+    cols, col_weight = _zoom_taps(src_w, width, channels)
+    # gather whole pixels (every channel at once) for all four corners:
+    # rows [:height] come from each output row's first source row,
+    # rows [height:] from its second; the halves of a row likewise
+    # hold the first and the second source column
+    pixels = src.view(np.dtype((np.void, channels * src.itemsize)))
+    taps = pixels.reshape(src_h, src_w).take(rows, axis=0)
+    # the taps are in range by construction; "clip" skips the check
+    taps = taps.take(cols, axis=1, mode="clip")
+    span = width * channels
+    terms = taps.view(src.dtype).reshape(2 * height, 2 * span)
+    terms = terms.astype(np.float64, copy=False)
+    terms *= row_weight[:, None]
+    terms *= col_weight
+    # scipy's corner order: (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+    top, bottom = terms[:height], terms[height:]
+    total = top[:, :span] + top[:, span:]
+    total += bottom[:, :span]
+    total += bottom[:, span:]
+    # scipy accumulates from +0.0, so a sum of four -0.0 reads +0.0
+    total += 0.0
+    out = total.astype(src.dtype, copy=False)
+    np.clip(out, 0.0, 1.0, out=out)
+    out = out.astype(np.float32, copy=False)
+    return out.reshape(height, width, channels)

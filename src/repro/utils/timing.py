@@ -9,7 +9,7 @@ median over repeats reported.
 from __future__ import annotations
 
 import time
-from typing import Callable, List
+from typing import Callable, List, Sequence
 
 
 class Timer:
@@ -55,3 +55,27 @@ def measure_latency(
     if len(samples) % 2:
         return samples[mid]
     return 0.5 * (samples[mid - 1] + samples[mid])
+
+
+def interleaved_samples_ms(
+    runners: Sequence[Callable[[], object]], rounds: int
+) -> List[List[float]]:
+    """Wall-clock samples (ms) of each runner, ``rounds`` apiece.
+
+    Each round times every runner once, back to back, so a slow
+    stretch of a shared host lands on all runners alike instead of on
+    whichever one it happened to catch, and sample ``i`` of every
+    runner comes from the same stretch; one untimed warm-up call per
+    runner absorbs first-call costs.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    for runner in runners:
+        runner()
+    samples: List[List[float]] = [[] for _ in runners]
+    for _ in range(rounds):
+        for runner, times in zip(runners, samples):
+            with Timer() as timer:
+                runner()
+            times.append(timer.elapsed_ms)
+    return samples

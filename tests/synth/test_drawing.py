@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import ndimage
 
 from repro.synth import drawing
 
@@ -142,3 +144,78 @@ class TestResize:
         out = drawing.resize_bitmap(img, 7, 13)
         assert out.min() >= 0.0
         assert out.max() <= 1.0
+
+
+def _scipy_resize(img, height, width):
+    """The reference ``resize_bitmap`` reproduces: scipy's order-1 zoom
+    with edge clamping, clipped to [0, 1], as float32."""
+    zoom = (height / img.shape[0], width / img.shape[1], 1.0)
+    out = ndimage.zoom(img, zoom, order=1, mode="nearest")
+    assert out.shape[:2] == (height, width)
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestResizeScipyParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        src_h=st.integers(1, 301), src_w=st.integers(1, 250),
+        height=st.one_of(st.integers(1, 80), st.sampled_from([224])),
+        width=st.one_of(st.integers(1, 80), st.sampled_from([224])),
+        channels=st.sampled_from([1, 3, 4]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_ndimage_zoom(
+        self, src_h, src_w, height, width, channels, dtype, seed
+    ):
+        assume((src_h, src_w) != (height, width))
+        img = np.random.default_rng(seed).random((src_h, src_w, channels))
+        img = img.astype(dtype)
+        _assert_bitwise(
+            drawing.resize_bitmap(img, height, width),
+            _scipy_resize(img, height, width),
+        )
+
+    def test_unclamped_coordinate_past_the_last_pixel(self):
+        # the last output column's coordinate, 71 * (249 / 71), lands a
+        # hair past source column 249; scipy interpolates there instead
+        # of clamping, and clamping it changes this frame's last column
+        assert 71 * (249 / 71) > 249
+        img = np.random.default_rng(275).random((69, 250, 4))
+        img = img.astype(np.float32)
+        got = drawing.resize_bitmap(img, 60, 72)
+        want = _scipy_resize(img, 60, 72)
+        _assert_bitwise(got[:, -1], want[:, -1])
+        _assert_bitwise(got, want)
+
+    def test_upper_weight_is_one_minus_lower(self):
+        # scipy derives the upper tap's weight as 1 - (1 - t); using t
+        # itself moves this upscale by one ulp
+        img = np.random.default_rng(0).random((8, 3, 4), dtype=np.float32)
+        _assert_bitwise(
+            drawing.resize_bitmap(img, 29, 16), _scipy_resize(img, 29, 16)
+        )
+
+    def test_negative_zero_reads_positive_zero(self):
+        img = np.full((5, 7, 4), -0.0, dtype=np.float32)
+        _assert_bitwise(
+            drawing.resize_bitmap(img, 3, 4), _scipy_resize(img, 3, 4)
+        )
+
+    def test_single_pixel_axes(self, rng):
+        img = rng.random((1, 9, 4)).astype(np.float32)
+        for height, width in [(5, 4), (1, 5), (3, 1), (1, 1)]:
+            _assert_bitwise(
+                drawing.resize_bitmap(img, height, width),
+                _scipy_resize(img, height, width),
+            )
+
+    def test_integer_bitmap_rejected(self):
+        with pytest.raises(TypeError):
+            drawing.resize_bitmap(np.zeros((4, 4, 4), np.uint8), 2, 2)
