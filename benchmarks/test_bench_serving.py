@@ -3,8 +3,9 @@
 Not a paper figure — this regenerates the PR's own claims: coalescing a
 200-request mixed-session stream into shard-sized batches through
 ``repro.serve`` must match sequential per-session ``decide_many`` on
-wall-clock throughput (>= 1.0x — in practice the bigger batches win)
-while producing **identical verdicts**; the deterministic simulation
+wall-clock throughput (>= 1.0x as the median of per-round ratios over
+interleaved rounds — in practice the bigger batches win) while
+producing **identical verdicts**; the deterministic simulation
 must conserve every request (answered + shed == submitted); and the
 multi-lane loop over a 2-worker pool must beat the single-lane path by
 >= 1.3x in virtual makespan with bitwise-equal verdicts — the claim
@@ -16,7 +17,6 @@ seconds; ``PERCIVAL_BENCH_ROUNDS`` trims the timing repeats.
 
 import asyncio
 import os
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +40,7 @@ from repro.serve import (
     TrafficSpec,
     synthesize_traffic,
 )
+from repro.utils.timing import interleaved_samples_ms
 
 SESSIONS = 25
 FRAMES_PER_SESSION = 8  # 200 requests total
@@ -89,12 +90,6 @@ def _served_decisions(classifier, events):
     return asyncio.run(drive()), front
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, (time.perf_counter() - start) * 1000.0
-
-
 @pytest.mark.bench_smoke
 def test_served_throughput_and_verdict_equivalence(
     reference_classifier, report_table, bench_record
@@ -107,23 +102,22 @@ def test_served_throughput_and_verdict_equivalence(
         seed=77,
     ))
     tolerance = classifier.fast_path_tolerance
-    # warm the compiled plan so neither path pays first-call compile
-    PercivalBlocker(classifier, calibrated_latency_ms=1.0).decide_many(
-        [events[0].bitmap] * 4
-    )
+    runs = {}
 
-    sequential_ms = []
-    served_ms = []
-    front = None
-    for _ in range(ROUNDS):
-        sequential, elapsed = _timed(
-            lambda: _sequential_decisions(classifier, events)
-        )
-        sequential_ms.append(elapsed)
-        (served, front), elapsed = _timed(
-            lambda: _served_decisions(classifier, events)
-        )
-        served_ms.append(elapsed)
+    def sequential_run():
+        runs["sequential"] = _sequential_decisions(classifier, events)
+
+    def served_run():
+        runs["served"] = _served_decisions(classifier, events)
+
+    # each round times both paths back to back (after one untimed
+    # warm-up apiece, which also compiles the plan), so a slow stretch
+    # of a shared host lands on both alike
+    sequential_ms, served_ms = interleaved_samples_ms(
+        [sequential_run, served_run], ROUNDS
+    )
+    sequential = runs["sequential"]
+    served, front = runs["served"]
 
     # --- verdicts: identical per request, both paths -------------------
     assert front.stats.conserved()
@@ -137,7 +131,9 @@ def test_served_throughput_and_verdict_equivalence(
     # --- throughput ----------------------------------------------------
     seq_median = float(np.median(sequential_ms))
     srv_median = float(np.median(served_ms))
-    speedup = seq_median / srv_median
+    # the median of per-round ratios: two separately reduced medians
+    # can each catch a different stretch of the host's speed
+    speedup = float(np.median(np.divide(sequential_ms, served_ms)))
     requests = len(events)
     rows = [
         ("requests / sessions", "-", f"{requests} / {SESSIONS}"),
@@ -150,7 +146,7 @@ def test_served_throughput_and_verdict_equivalence(
         ("mean served batch size", "-", front.stats.mean_batch_size),
         ("coalesced + memo duplicates", "-",
          front.stats.coalesced + front.stats.memo_hits),
-        ("served speedup (x)", ">= 1.0", speedup),
+        ("served speedup (x, per round)", ">= 1.0", speedup),
         ("max |p_served - p_sequential|", f"<= {tolerance:g}", max_delta),
     ]
     report_table(paper_vs_measured(

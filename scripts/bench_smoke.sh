@@ -21,7 +21,7 @@ fi
 if ! "$PYTHON" -c "import pytest" >/dev/null 2>&1; then
     echo "bench_smoke: pytest is not importable by $PYTHON —" \
          "install the test toolchain first:" >&2
-    echo "    $PYTHON -m pip install numpy pytest pytest-benchmark" >&2
+    echo "    $PYTHON -m pip install numpy scipy pytest pytest-benchmark" >&2
     exit 2
 fi
 

@@ -12,25 +12,28 @@ render-time metric of §5.7.  Two browser profiles are provided:
   fixed per-image classification cost is a larger *fraction* there
   (Figure 15's 4.55% vs 19.07% asymmetry).
 
-PERCIVAL attaches in one of two modes (§1.1):
+PERCIVAL attaches as a :class:`~repro.core.blocker.PercivalBlocker`, in
+one of two modes (§1.1):
 
 * ``mode="sync"`` — classification runs on the raster lane before the
-  frame paints (blocking deployment; adds render latency),
+  frame paints (blocking deployment; adds render latency).  The page's
+  frames decode up front and classify in one ``decide_many`` batch;
+  ``classify_bitmap`` is the raster hook for any frame the batch missed.
 * ``mode="async"`` — frames paint immediately while classification runs
-  off the critical path; verdicts are memoized so the ad is blocked on
-  the *next* encounter.  Ads that painted before their verdict are
-  counted as ``flashed_ads``.
+  off the critical path; each frame is fingerprinted once, probed in
+  the blocker's memo and, on a miss, classified with ``decide``, so the
+  ad is blocked on the *next* encounter.  Ads that painted before their
+  verdict are counted as ``flashed_ads``.  A
+  :class:`~repro.serve.session.RenderServeBridge` may take the misses
+  instead, classifying them in batches after raster.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
-
-from typing import TYPE_CHECKING
 
 from repro.browser.display_list import (
     DisplayItem,
@@ -47,77 +50,10 @@ from repro.synth.webgen import Page
 from repro.utils.clock import WorkerLanes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cascade.provenance import FrameProvenance
+    from repro.core.blocker import BlockDecision, PercivalBlocker
     from repro.core.revisit import RevisitMemory
     from repro.diff.differ import FrameDiffer
-    from repro.serve.tiers import Answer
-
-
-class BlockerProtocol(Protocol):
-    """What the renderer needs from an ad blocker implementation.
-
-    Implementations may additionally provide two optional (duck-typed)
-    fast-path extensions the renderer uses when present:
-
-    * ``fingerprint(bitmap) -> str`` plus ``key=`` keyword support on
-      ``memoized_verdict``/``decide`` — lets the renderer hash a frame
-      exactly once per encounter instead of once per lookup, and
-    * ``decide_many(bitmaps) -> list`` — batched verdicts for a page's
-      frames, used by the synchronous image-decode drain so N frames
-      cost one batched forward pass instead of N single-image passes.
-      A blocker attached to a sharded-inference worker pool
-      (``repro.core.workerpool``) additionally scatters that batch
-      across worker processes — the drain needs no extra wiring, and
-      the async hook is untouched (its per-frame misses are below any
-      sensible shard threshold).
-    """
-
-    def classify_bitmap(self, bitmap: np.ndarray, info: SkImageInfo) -> bool:
-        """True if the decoded frame is an ad (should be blocked)."""
-        ...
-
-    def classify_cost_ms(self, info: SkImageInfo) -> float:
-        """Virtual cost of one classification at this image size."""
-        ...
-
-    def memoized_verdict(self, bitmap: np.ndarray) -> Optional[bool]:
-        """Cached verdict for this bitmap, if previously classified."""
-        ...
-
-
-class ServeBridgeProtocol(Protocol):
-    """What async-mode serving needs (``repro.serve.RenderServeBridge``).
-
-    The renderer routes each decoded frame through the bridge's cheap
-    tiers (``route`` answers from a cascade rule or the shared memo and
-    names the tier that answered), enqueues the misses during raster
-    and drains them after — one batched classification per chunk
-    instead of a forward pass per frame, with the verdicts (and their
-    amortized virtual costs) landing on the async lanes.
-    """
-
-    def fingerprint(self, bitmap: np.ndarray) -> str:
-        ...
-
-    def route(
-        self,
-        bitmap: np.ndarray,
-        key: Optional[str] = None,
-        provenance: Optional["FrameProvenance"] = None,
-    ) -> Optional["Answer"]:
-        ...
-
-    def enqueue(
-        self,
-        bitmap: np.ndarray,
-        key: str,
-        priority: int = 0,
-        provenance: Optional["FrameProvenance"] = None,
-    ) -> None:
-        ...
-
-    def drain(self):
-        ...
+    from repro.serve.session import RenderServeBridge
 
 
 #: virtual cost of handing one frame to the async classification queue
@@ -157,29 +93,6 @@ def _brave_profile() -> BrowserProfile:
 
 CHROMIUM = BrowserProfile(name="chromium")
 BRAVE = _brave_profile()
-
-
-def _supports_keyed_verdicts(percival: BlockerProtocol) -> bool:
-    """True if the blocker implements the keyed fast-path extension.
-
-    Requires the full surface — ``fingerprint()`` plus ``key=``-aware
-    ``memoized_verdict()`` and ``decide()`` — verified against each
-    method's actual signature, so a protocol-only blocker that happens
-    to define a method with a colliding name is never miscalled.
-    """
-    if getattr(percival, "fingerprint", None) is None:
-        return False
-    for name in ("memoized_verdict", "decide"):
-        method = getattr(percival, name, None)
-        if method is None:
-            return False
-        try:
-            parameters = inspect.signature(method).parameters
-        except (TypeError, ValueError):
-            return False
-        if "key" not in parameters:
-            return False
-    return True
 
 
 @dataclass
@@ -242,10 +155,10 @@ class Renderer:
     def render(
         self,
         page: Page,
-        percival: Optional[BlockerProtocol] = None,
+        percival: Optional["PercivalBlocker"] = None,
         mode: str = "sync",
         revisit_memory: Optional["RevisitMemory"] = None,
-        serve_bridge: Optional["ServeBridgeProtocol"] = None,
+        serve_bridge: Optional["RenderServeBridge"] = None,
         differ: Optional["FrameDiffer"] = None,
         session_id: str = "",
     ) -> RenderMetrics:
@@ -370,7 +283,7 @@ class Renderer:
         # only the delta reaches the classification pipeline below.
         active_differ = differ
         if active_differ is None and serve_bridge is not None:
-            active_differ = getattr(serve_bridge, "differ", None)
+            active_differ = serve_bridge.differ
         if percival is None:
             active_differ = None
         region_views: List = []
@@ -425,35 +338,29 @@ class Renderer:
 
         #: model decisions captured at classification time, by URL —
         #: what the post-raster snapshot commit records
-        decision_by_url: Dict[str, object] = {}
+        decision_by_url: Dict[str, "BlockDecision"] = {}
 
         if percival is not None and mode == "sync":
-            # Image-decode drain: when the blocker supports batched
-            # verdicts, decode every fetched frame up front and classify
-            # them all in ONE batched forward pass (sharded across the
-            # blocker's worker pool when it holds one and the page is
-            # large enough).  Raster still charges decode +
+            # Image-decode drain: decode every fetched frame up front
+            # and classify them all in ONE batched forward pass (sharded
+            # across the blocker's worker pool when it holds one and the
+            # page is large enough).  Raster still charges decode +
             # classification virtual cost on first touch, so the
             # virtual-clock metrics are identical to the per-frame
             # deployment — only the real compute is batched.
-            decide_many = getattr(percival, "decide_many", None)
-            if decide_many is not None:
-                fresh = [
-                    (url, image) for url, image in images.items()
-                    if not image.is_decoded and url not in settled_urls
-                ]
-                if fresh:
-                    decisions = decide_many(
-                        [image.decode_only() for _, image in fresh]
-                    )
-                    for (url, image), decision in zip(fresh, decisions):
-                        image.apply_verdict(bool(decision.is_ad))
-                        decision_by_url[url] = decision
-
-            def hook(bitmap: np.ndarray, info: SkImageInfo) -> bool:
-                # Fallback for frames the drain did not cover (and the
-                # whole page when the blocker has no batched API).
-                return percival.classify_bitmap(bitmap, info)
+            fresh = [
+                (url, image) for url, image in images.items()
+                if not image.is_decoded and url not in settled_urls
+            ]
+            if fresh:
+                decisions = percival.decide_many(
+                    [image.decode_only() for _, image in fresh]
+                )
+                for (url, image), decision in zip(fresh, decisions):
+                    image.apply_verdict(bool(decision.is_ad))
+                    decision_by_url[url] = decision
+            # frames the drain did not cover classify on first touch
+            hook = percival.classify_bitmap
 
             def cost_fn(url: str) -> float:
                 info = images[url].sk_image.info
@@ -468,9 +375,6 @@ class Renderer:
             )
 
             async_lanes = WorkerLanes(profile.raster_threads)
-            keyed = _supports_keyed_verdicts(percival)
-            fingerprint = percival.fingerprint if keyed else None
-            decide = percival.decide if keyed else None
             node_by_url: Dict[str, object] = {}
             if serve_bridge is not None:
                 node_by_url = {
@@ -533,20 +437,14 @@ class Renderer:
                     return False  # verdict lands at drain time
                 # fingerprint once per frame: the same key serves the
                 # memo lookup and, on a miss, the memo fill.
-                if keyed:
-                    key = fingerprint(bitmap)
-                    cached = percival.memoized_verdict(bitmap, key=key)
-                else:
-                    cached = percival.memoized_verdict(bitmap)
+                key = percival.fingerprint(bitmap)
+                cached = percival.memoized_decision(key=key)
                 if cached is not None:
                     metrics.memo_hits += 1
-                    return cached
+                    return cached.is_ad
                 # classify off the critical path; frame paints meanwhile
                 frame_enqueued[0] = True
-                if keyed:
-                    verdict = decide(bitmap, key=key).is_ad
-                else:
-                    verdict = percival.classify_bitmap(bitmap, info)
+                verdict = percival.decide(bitmap, key=key).is_ad
                 async_lanes.submit(percival.classify_cost_ms(info))
                 if verdict:
                     metrics.flashed_ads += 1
@@ -599,7 +497,6 @@ class Renderer:
             # to what the memo path would have returned.
             from repro.diff.snapshot import RegionRecord
 
-            memo_probe = getattr(percival, "memoized_decision", None)
             records = []
             for view in region_views:
                 inherited = inherited_by_url.get(view.url)
@@ -612,7 +509,6 @@ class Renderer:
                 image = images.get(view.url)
                 if (
                     decision is None
-                    and memo_probe is not None
                     and image is not None
                     and image.is_decoded
                     and not image.blocked
@@ -621,11 +517,12 @@ class Renderer:
                     # memo now holds the frame's full decision (rule
                     # hits never land in the memo, so they are never
                     # recorded — snapshots carry model verdicts only)
-                    decision = memo_probe(image.decode_only())
-                probability = getattr(decision, "probability", None)
-                if decision is not None and probability is not None:
+                    decision = percival.memoized_decision(
+                        image.decode_only()
+                    )
+                if decision is not None:
                     records.append(RegionRecord.from_view(
-                        view, bool(decision.is_ad), float(probability)
+                        view, bool(decision.is_ad), float(decision.probability)
                     ))
                 else:
                     records.append(RegionRecord.from_view(view))

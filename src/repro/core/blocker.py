@@ -1,7 +1,7 @@
 """The render-pipeline blocker.
 
-:class:`PercivalBlocker` is what the browser substrate talks to (it
-satisfies ``repro.browser.renderer.BlockerProtocol``): a verdict per
+:class:`PercivalBlocker` is what the browser substrate talks to (the
+renderer, :mod:`repro.browser.renderer`, takes one): a verdict per
 decoded bitmap, a calibrated virtual cost per classification, and a
 memoization cache keyed on the decoded pixels (the async deployment of
 §1.1 — results are memoized, "thus speeding up the classification
@@ -106,7 +106,7 @@ class PercivalBlocker:
             self._memo_version = version
 
     # ------------------------------------------------------------------
-    # BlockerProtocol
+    # Renderer hooks
     # ------------------------------------------------------------------
     def classify_bitmap(self, bitmap: np.ndarray, info: SkImageInfo) -> bool:
         """Classify a decoded frame; memoizes and returns the verdict."""
@@ -121,12 +121,6 @@ class PercivalBlocker:
         the decode step already accounted for size-dependent work.
         """
         return self.calibrated_latency_ms
-
-    def memoized_verdict(
-        self, bitmap: np.ndarray, key: Optional[str] = None
-    ) -> Optional[bool]:
-        cached = self.memoized_decision(bitmap, key=key)
-        return None if cached is None else cached.is_ad
 
     def memoized_decision(
         self, bitmap: Optional[np.ndarray] = None, key: Optional[str] = None
@@ -162,7 +156,7 @@ class PercivalBlocker:
     @staticmethod
     def fingerprint(bitmap: np.ndarray) -> str:
         """Memo key for a decoded frame.  Callers on the hot path hash
-        once and pass the key to ``memoized_verdict``/``decide`` so the
+        once and pass the key to ``memoized_decision``/``decide`` so the
         frame is never fingerprinted twice per encounter."""
         return image_fingerprint(bitmap)
 

@@ -80,8 +80,10 @@ def _preferred_context() -> mp.context.BaseContext:
     spawn elsewhere.  Workers rebuild their model from the shared
     segment either way, so both start methods run the same code path.
     """
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
+    try:
+        return mp.get_context("fork")
+    except ValueError:  # no fork on this platform
+        return mp.get_context("spawn")
 
 
 def _worker_main(conn: Connection) -> None:
@@ -172,7 +174,6 @@ class InferenceWorkerPool:
     def __init__(
         self,
         num_workers: int,
-        start_method: Optional[str] = None,
         timeout_s: float = _DEFAULT_TIMEOUT_S,
         respawn_budget: int = 16,
         respawn_backoff_s: float = 0.05,
@@ -191,11 +192,7 @@ class InferenceWorkerPool:
         #: worker replacements (after a death) this pool may still make
         self.respawn_budget = int(respawn_budget)
         self.respawn_backoff_s = float(respawn_backoff_s)
-        self._ctx = (
-            mp.get_context(start_method)
-            if start_method is not None
-            else _preferred_context()
-        )
+        self._ctx = _preferred_context()
         self._workers: List[_Worker] = []
         self._segment: Optional[shared_memory.SharedMemory] = None
         self._export: Optional[PlanExport] = None

@@ -59,18 +59,8 @@ class DiffStats:
 class FrameDiffer:
     """Session-scoped snapshot/diff layer in front of the pipeline."""
 
-    def __init__(
-        self,
-        store: Optional[SnapshotStore] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
-        if store is not None and capacity is not None:
-            raise ValueError("pass a store or a capacity, not both")
-        if store is None:
-            store = SnapshotStore(
-                capacity if capacity is not None else 512
-            )
-        self.store = store
+    def __init__(self) -> None:
+        self.store = SnapshotStore()
         self.stats = DiffStats()
 
     # ------------------------------------------------------------------

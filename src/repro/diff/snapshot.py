@@ -52,9 +52,10 @@ class RegionView:
 class RegionRecord:
     """One region as stored in a snapshot: a view plus its verdict.
 
-    ``probability is None`` means the region settled without a full
-    decision record (e.g. a duck-typed blocker with no memo) — such a
-    region still diffs structurally but is never verdict-inheritable.
+    ``probability is None`` means the region settled without a model
+    decision (e.g. a cascade rule verdict, which never lands in the
+    memo, or a frame that never decoded) — such a region still diffs
+    structurally but is never verdict-inheritable.
     """
 
     url: str

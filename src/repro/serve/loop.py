@@ -70,9 +70,8 @@ changes, bit for bit.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +102,7 @@ class ServeClosedError(RuntimeError):
     """The front door was closed; the request was never admitted.
 
     Raised by :meth:`AsyncServeFront.submit` after :meth:`aclose` — a
-    closed front has drained its queue and released its executor, so
+    closed front has drained its queue and disarmed its timer, so
     admitting more work could only hang the caller.
     """
 
@@ -494,27 +493,17 @@ class AsyncServeFront:
     via a ``call_later`` timer.  A full queue raises
     :class:`ServeOverloadError` — backpressure is the caller's signal.
 
-    Two compute placements:
-
-    * default (``use_executor=False``): batch compute runs on the
-      event-loop thread — numpy/BLAS release the GIL, and for pure
-      throughput a thread hop only reorders the same GEMMs;
-    * ``use_executor=True``: each flush's ``decide_many`` runs on a
-      dedicated **single-thread** executor, so a slow batch never
-      stalls the event loop — submits, timer callbacks, and unrelated
-      coroutines keep running, and overload stays observable *during*
-      compute, not just between batches.  The executor is deliberately
-      one thread: the blocker's scratch buffers and the worker pool's
-      dispatch protocol are not reentrant, so the front serializes
-      forwards and leaves real compute parallelism to the pool's worker
-      processes (and, in simulation, to :class:`ServeLoop`'s lanes).
+    Batch compute runs inline on the event-loop thread, one batch at a
+    time: the blocker's scratch buffers and the worker pool's dispatch
+    are not reentrant, so real compute parallelism belongs to the
+    pool's worker processes (and, in simulation, to
+    :class:`ServeLoop`'s lanes).
     """
 
     def __init__(
         self,
         blocker: PercivalBlocker,
         settings: Optional[ServeSettings] = None,
-        use_executor: bool = False,
         cascade: "CascadeRouter | None | bool" = None,
         differ: "FrameDiffer | None | bool" = None,
         chaos: "ChaosSchedule | None | bool" = None,
@@ -522,7 +511,6 @@ class AsyncServeFront:
     ) -> None:
         self.blocker = blocker
         self.settings = settings or ServeSettings.from_env()
-        self.use_executor = use_executor
         #: chaos here runs on the front's real-millisecond clock; the
         #: invariant it exercises is value-independence (every resolved
         #: future's P(ad) is fault-free-identical), not replay timing
@@ -545,8 +533,6 @@ class AsyncServeFront:
         self._origin_s: Optional[float] = None
         self._next_id = 0
         self._closed = False
-        self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
-        self._inflight: Set["asyncio.Task[None]"] = set()
 
     # ------------------------------------------------------------------
     # Front door
@@ -608,15 +594,8 @@ class AsyncServeFront:
         return await future
 
     async def drain(self) -> None:
-        """Flush everything still queued, deadline or not, and wait for
-        any in-flight executor batches to settle their waiters."""
-        loop = asyncio.get_running_loop()
-        while True:
-            self._start_flush(loop, force=True)
-            if not self._inflight:
-                break
-            await asyncio.gather(*list(self._inflight),
-                                 return_exceptions=True)
+        """Flush everything still queued, deadline or not."""
+        self._start_flush(asyncio.get_running_loop(), force=True)
 
     async def aclose(self) -> None:
         """Drain pending requests, disarm the flush timer, and refuse
@@ -629,9 +608,6 @@ class AsyncServeFront:
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     @property
     def depth(self) -> int:
@@ -674,20 +650,12 @@ class AsyncServeFront:
     def _start_flush(
         self, loop: asyncio.AbstractEventLoop, force: bool = False
     ) -> None:
-        """Flush every due batch — inline on the event-loop thread by
-        default, or as tracked tasks computing on the executor."""
+        """Flush every due batch, inline on the event-loop thread."""
         while True:
             flush_ms = self._now_ms(loop)
             batch = self._queue.pop_batch(flush_ms, force=force)
             if batch is None:
                 break
-            if self.use_executor:
-                task = loop.create_task(
-                    self._flush_batch(loop, batch, flush_ms)
-                )
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-                continue
             try:
                 decisions = self._chain.compute(batch, flush_ms)
             except Exception as exc:
@@ -697,37 +665,6 @@ class AsyncServeFront:
         # re-arm for whatever is still queued (partial batch)
         if self._timer is None and self._queue.depth:
             self._arm_timer(loop)
-
-    async def _flush_batch(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        batch: List[ServeRequest],
-        flush_ms: float,
-    ) -> None:
-        """Executor-mode flush of one already-popped batch.  The pool
-        gate spans the await; a concurrently interleaved flush would
-        also compute in-process once, which only moves *where* its
-        batch computes, never its verdicts."""
-        chain = self._chain
-        try:
-            with chain.computing(len(batch), flush_ms):
-                decisions = await loop.run_in_executor(
-                    self._get_executor(), chain.decide, batch
-                )
-        except Exception as exc:
-            self._settle_failure(batch, exc)
-            return
-        self._settle_batch(batch, decisions, flush_ms, loop)
-
-    def _get_executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._executor is None:
-            # one thread, on purpose: serializes decide_many (scratch
-            # buffers / pool dispatch are not reentrant) while keeping
-            # the event loop free during compute
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="percival-serve"
-            )
-        return self._executor
 
     def _settle_batch(
         self,

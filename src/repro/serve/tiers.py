@@ -8,8 +8,7 @@ is that path, written once for :class:`~repro.serve.loop.ServeLoop`,
 :class:`~repro.serve.session.RenderServeBridge`, with every tier call
 behind one resilience wrapper (:meth:`TierChain.guard`).  Each front
 keeps only what differs: the loop its virtual clock, lanes and results,
-the asyncio front its futures, timer and executor, the bridge its
-chunked drain.
+the asyncio front its futures and timer, the bridge its chunked drain.
 
 Tier methods are looked up on their instances at call time, so a
 wrapper installed on an instance after the chain is built still sees
@@ -18,13 +17,11 @@ every call.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -387,20 +384,7 @@ class TierChain:
     def compute(
         self, batch: List[ServeRequest], now_ms: float
     ) -> List[BlockDecision]:
-        """One ``decide_many`` over ``batch`` behind the pool gate."""
-        with self.computing(len(batch), now_ms):
-            return self.decide(batch)
-
-    def decide(self, batch: List[ServeRequest]) -> List[BlockDecision]:
-        """The batch's verdicts — the model, with no gate around it."""
-        return self.blocker.decide_many(
-            [request.bitmap for request in batch],
-            keys=[request.key for request in batch],
-        )
-
-    @contextmanager
-    def computing(self, batch_size: int, now_ms: float) -> Iterator[None]:
-        """The pool gate around one batch's compute.
+        """One ``decide_many`` over ``batch`` behind the pool gate.
 
         The pool breaker is consulted only when the batch would really
         dispatch to the pool; an open breaker detaches the pool for
@@ -419,7 +403,7 @@ class TierChain:
             plane is not None
             and pool is not None
             and not getattr(pool, "closed", False)
-            and batch_size >= blocker.shard_min_batch
+            and len(batch) >= blocker.shard_min_batch
         ):
             breaker = plane.breakers["pool"]
         bypass = breaker is not None and not breaker.allow(now_ms)
@@ -427,9 +411,12 @@ class TierChain:
             breaker = None
             blocker.pool = None
             plane.pool_bypassed += 1
-        fallbacks_before = getattr(blocker, "pool_fallbacks", 0)
+        fallbacks_before = blocker.pool_fallbacks
         try:
-            yield
+            decisions = blocker.decide_many(
+                [request.bitmap for request in batch],
+                keys=[request.key for request in batch],
+            )
         except Exception:
             self._record(breaker, now_ms, False)
             if plane is not None:
@@ -442,12 +429,12 @@ class TierChain:
             if bypass:
                 blocker.pool = pool
         self._record(
-            breaker, now_ms,
-            getattr(blocker, "pool_fallbacks", 0) == fallbacks_before,
+            breaker, now_ms, blocker.pool_fallbacks == fallbacks_before
         )
         stats.batches += 1
-        stats.batched_requests += batch_size
+        stats.batched_requests += len(batch)
         stats.capacity_samples.append(capacity)
+        return decisions
 
     def settled(
         self, request: ServeRequest, flush_ms: float, complete_ms: float

@@ -1,15 +1,20 @@
 """The batched image-decode drain: semantics vs the per-frame path.
 
 The sync-mode drain classifies a page's frames in one batched forward;
-the virtual-clock metrics must be bit-identical to the per-frame hook
-deployment (raster still charges decode + classification per image).
+the raster metrics must be bit-identical to rastering the same page
+with the blocker's per-frame hook (raster still charges decode +
+classification per image).
 """
 
 import numpy as np
 import pytest
 
 from repro.browser.codecs import ImageFormat, encode_image
+from repro.browser.display_list import build_display_list
+from repro.browser.html import parse_html
+from repro.browser.layout import build_layout_tree
 from repro.browser.network import MockNetwork, NetworkConfig
+from repro.browser.raster import RasterConfig, rasterize
 from repro.browser.renderer import CHROMIUM, Renderer
 from repro.browser.skia import BitmapImage
 from repro.core import PercivalBlocker
@@ -25,53 +30,55 @@ def small_web():
     return pages, network
 
 
-class _PerFrameOnly:
-    """Strips the batched API off a blocker: protocol methods only."""
+def _per_frame_raster(page, network, blocker):
+    """Raster ``page`` under CHROMIUM with ``blocker.classify_bitmap``
+    as the hook: every frame classified on its own decode."""
+    document = parse_html(page.html, url=page.url)
+    images = {
+        node.src: BitmapImage(network.fetch(node.src))
+        for node in document.resource_elements()
+        if network.has(node.src)
+    }
+    layout_root = build_layout_tree(document)
+    return rasterize(
+        build_display_list(layout_root),
+        layout_root.height,
+        images,
+        config=RasterConfig(num_workers=CHROMIUM.raster_threads),
+        percival_hook=blocker.classify_bitmap,
+        classify_cost_ms=lambda url: blocker.classify_cost_ms(
+            images[url].sk_image.info
+        ),
+    )
 
-    def __init__(self, blocker):
-        self._blocker = blocker
 
-    def classify_bitmap(self, bitmap, info):
-        return self._blocker.classify_bitmap(bitmap, info)
-
-    def classify_cost_ms(self, info):
-        return self._blocker.classify_cost_ms(info)
-
-    def memoized_verdict(self, bitmap):
-        return self._blocker.memoized_verdict(bitmap)
+def _assert_drain_matches_per_frame(renderer, network, page, classifier):
+    batched = PercivalBlocker(classifier, calibrated_latency_ms=11.0)
+    fast = renderer.render(page, percival=batched, mode="sync")
+    reference = _per_frame_raster(page, network, PercivalBlocker(
+        classifier, calibrated_latency_ms=11.0
+    ))
+    assert reference.images_decoded > 0
+    assert fast.raster_ms == pytest.approx(reference.makespan_ms)
+    assert fast.classify_cost_ms == pytest.approx(
+        reference.classify_cost_ms
+    )
+    assert fast.images_blocked_by_percival == reference.images_blocked
+    assert fast.images_decoded == reference.images_decoded
 
 
 class TestBatchedDrain:
     def test_sync_metrics_match_per_frame_path(self, small_web,
-                                               untrained_classifier):
+                                               untrained_classifier,
+                                               flag_all_classifier):
         pages, network = small_web
         renderer = Renderer(CHROMIUM, network)
-        batched_metrics = []
-        per_frame_metrics = []
-        for page in pages:
-            batched = PercivalBlocker(untrained_classifier,
-                                      calibrated_latency_ms=11.0)
-            batched_metrics.append(
-                renderer.render(page, percival=batched, mode="sync")
-            )
-            per_frame = _PerFrameOnly(PercivalBlocker(
-                untrained_classifier, calibrated_latency_ms=11.0
-            ))
-            per_frame_metrics.append(
-                renderer.render(page, percival=per_frame, mode="sync")
-            )
-        for fast, reference in zip(batched_metrics, per_frame_metrics):
-            assert fast.render_time_ms == pytest.approx(
-                reference.render_time_ms
-            )
-            assert fast.classify_cost_ms == pytest.approx(
-                reference.classify_cost_ms
-            )
-            assert (
-                fast.images_blocked_by_percival
-                == reference.images_blocked_by_percival
-            )
-            assert fast.images_decoded == reference.images_decoded
+        # one classifier that passes every frame, one that blocks all
+        for classifier in (untrained_classifier, flag_all_classifier):
+            for page in pages:
+                _assert_drain_matches_per_frame(
+                    renderer, network, page, classifier
+                )
 
     def test_drain_classifies_in_one_batch(self, small_web,
                                            untrained_classifier, rng):

@@ -9,6 +9,7 @@ from repro.browser.network import MockNetwork, NetworkConfig
 from repro.browser.raster import RasterConfig, rasterize
 from repro.browser.renderer import BRAVE, CHROMIUM, Renderer
 from repro.browser.skia import BitmapImage
+from repro.core import PercivalBlocker
 from repro.synth.webgen import SyntheticWeb, WebConfig, url_registry
 
 
@@ -150,44 +151,24 @@ class TestRenderer:
         ]
         assert np.median(brave_times) < np.median(chromium_times)
 
-    def test_sync_percival_adds_overhead(self, small_web):
+    def test_sync_percival_adds_overhead(self, small_web,
+                                         untrained_classifier):
         pages, network = small_web
-
-        class StubBlocker:
-            def classify_bitmap(self, bitmap, info):
-                return False
-
-            def classify_cost_ms(self, info):
-                return 11.0
-
-            def memoized_verdict(self, bitmap):
-                return None
-
+        blocker = PercivalBlocker(untrained_classifier,
+                                  calibrated_latency_ms=11.0)
         renderer = Renderer(CHROMIUM, network)
         base = renderer.render(pages[0]).render_time_ms
-        treated = renderer.render(
-            pages[0], percival=StubBlocker(), mode="sync"
-        )
+        treated = renderer.render(pages[0], percival=blocker, mode="sync")
         assert treated.render_time_ms > base
         assert treated.classify_cost_ms > 0
 
-    def test_async_mode_does_not_block_paint(self, small_web):
+    def test_async_mode_does_not_block_paint(self, small_web,
+                                             flag_all_classifier):
         pages, network = small_web
-
-        class AdEverything:
-            def classify_bitmap(self, bitmap, info):
-                return True
-
-            def classify_cost_ms(self, info):
-                return 11.0
-
-            def memoized_verdict(self, bitmap):
-                return None
-
+        blocker = PercivalBlocker(flag_all_classifier,
+                                  calibrated_latency_ms=11.0)
         renderer = Renderer(CHROMIUM, network)
-        metrics = renderer.render(
-            pages[0], percival=AdEverything(), mode="async"
-        )
+        metrics = renderer.render(pages[0], percival=blocker, mode="async")
         # nothing blocked this paint; everything flagged as flashed
         assert metrics.images_blocked_by_percival == 0
         assert metrics.flashed_ads == metrics.images_decoded

@@ -26,6 +26,12 @@ def untrained_classifier() -> AdClassifier:
     return AdClassifier(PercivalConfig())
 
 
+@pytest.fixture(scope="session")
+def flag_all_classifier() -> AdClassifier:
+    """An untrained classifier whose threshold flags every frame an ad."""
+    return AdClassifier(PercivalConfig(ad_threshold=0.0))
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return spawn_rng(1234, "tests")

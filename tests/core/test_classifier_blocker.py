@@ -93,14 +93,16 @@ class TestPercivalBlocker:
         assert first.is_ad == second.is_ad
         assert blocker.classifications == 1
 
-    def test_memoized_verdict_lookup(self, reference_classifier,
-                                     overt_ad, photo):
+    def test_memoized_decision_lookup(self, reference_classifier,
+                                      overt_ad, photo):
         blocker = PercivalBlocker(reference_classifier,
                                   calibrated_latency_ms=11.0)
-        assert blocker.memoized_verdict(overt_ad) is None
+        assert blocker.memoized_decision(overt_ad) is None
         blocker.decide(overt_ad)
-        assert blocker.memoized_verdict(overt_ad) is True
-        assert blocker.memoized_verdict(photo) is None
+        cached = blocker.memoized_decision(overt_ad)
+        assert cached.is_ad is True
+        assert cached.from_cache
+        assert blocker.memoized_decision(photo) is None
 
     def test_memo_capacity_evicts_lru(self, reference_classifier, rng):
         blocker = PercivalBlocker(
@@ -113,7 +115,7 @@ class TestPercivalBlocker:
         for bitmap in bitmaps:
             blocker.decide(bitmap)
         assert blocker.memo_size == 2
-        assert blocker.memoized_verdict(bitmaps[0]) is None
+        assert blocker.memoized_decision(bitmaps[0]) is None
 
     def test_clear_memo(self, reference_classifier, overt_ad):
         blocker = PercivalBlocker(reference_classifier,

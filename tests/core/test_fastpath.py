@@ -124,10 +124,7 @@ class TestDecideMany:
         decisions = blocker.decide_many(bitmaps, keys=keys)
         assert len(decisions) == len(bitmaps)
         for key, decision in zip(keys, decisions):
-            assert (
-                blocker.memoized_verdict(bitmaps[0], key=key)
-                == decision.is_ad
-            )
+            assert blocker.memoized_decision(key=key).is_ad == decision.is_ad
 
     def test_mismatched_keys_rejected(self, reference_classifier,
                                       bitmaps):
@@ -160,14 +157,13 @@ class TestKeyedEntryPoints:
         # the same memo entry serves the un-keyed path too
         assert blocker.decide(bitmaps[0]).from_cache
 
-    def test_memoized_verdict_with_key(self, reference_classifier,
-                                       bitmaps):
+    def test_memoized_decision_with_key(self, reference_classifier,
+                                        bitmaps):
         blocker = PercivalBlocker(reference_classifier,
                                   calibrated_latency_ms=11.0)
         key = blocker.fingerprint(bitmaps[0])
-        assert blocker.memoized_verdict(bitmaps[0], key=key) is None
+        assert blocker.memoized_decision(key=key) is None
         decision = blocker.decide(bitmaps[0], key=key)
-        assert (
-            blocker.memoized_verdict(bitmaps[0], key=key)
-            == decision.is_ad
-        )
+        cached = blocker.memoized_decision(key=key)
+        assert cached.is_ad == decision.is_ad
+        assert cached.probability == decision.probability

@@ -195,7 +195,7 @@ class TestMemoGenerations:
         path = str(tmp_path / "donor.npz")
         donor.save(path)
         classifier.load(path)  # bumps weights_version
-        assert blocker.memoized_verdict(bitmap) is None
+        assert blocker.memoized_decision(bitmap) is None
         decision = blocker.decide(bitmap)
         assert not decision.from_cache
         assert blocker.classifications == 2

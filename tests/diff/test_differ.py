@@ -121,10 +121,6 @@ class TestFrameDiffer:
         assert [v.url for v, _ in second.inherit] == [view.url]
         assert differ.stats.identical_pages == 1
 
-    def test_store_and_capacity_are_exclusive(self):
-        with pytest.raises(ValueError):
-            FrameDiffer(store=SnapshotStore(), capacity=4)
-
 
 class TestDiffKnob:
     def test_env_values(self, monkeypatch):

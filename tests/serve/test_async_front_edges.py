@@ -1,11 +1,10 @@
-"""Edge cases of the asyncio front door: timer races, close, executor.
+"""Edge cases of the asyncio front door: timer races, close, failures.
 
 The contract under stress: no matter how the ``max_wait_ms`` timer, the
 deferred-flush callback, and ``aclose()`` interleave, every admitted
 request resolves exactly once (decision or exception — never a hang),
-and the conservation ledger balances.  Executor mode must be verdict-
-and ledger-equivalent to inline mode; it only moves compute off the
-event-loop thread.
+and the conservation ledger balances.  A batch whose compute raises
+fails its waiters, and the front keeps serving the next batch.
 """
 
 import asyncio
@@ -124,70 +123,9 @@ class TestTimerEdges:
 
 
 class TestExecutorMode:
-    def test_executor_mode_matches_inline_verdicts(
-        self, untrained_classifier
-    ):
-        frames = _frames(6, seed=11)
-        settings = ServeSettings(max_batch=3, max_wait_ms=1.0, max_depth=32)
-
-        def run(use_executor):
-            front = AsyncServeFront(
-                _blocker(untrained_classifier), settings,
-                use_executor=use_executor,
-            )
-
-            async def drive():
-                decisions = await asyncio.gather(
-                    *(front.submit(frame) for frame in frames)
-                )
-                await front.aclose()
-                return front, decisions
-
-            return asyncio.run(drive())
-
-        inline_front, inline = run(False)
-        executor_front, threaded = run(True)
-        assert [d.probability for d in inline] == [
-            d.probability for d in threaded
-        ]
-        assert [d.is_ad for d in inline] == [d.is_ad for d in threaded]
-        assert inline_front.stats.conserved()
-        assert executor_front.stats.conserved()
-        assert executor_front.stats.answered == len(frames)
-        # aclose released the executor thread
-        assert executor_front._executor is None
-
-    def test_event_loop_stays_responsive_during_executor_flush(
-        self, untrained_classifier
-    ):
-        """While a batch computes on the executor thread, unrelated
-        coroutines keep getting scheduled — the definitional difference
-        from inline mode."""
-        front = AsyncServeFront(
-            _blocker(untrained_classifier),
-            ServeSettings(max_batch=2, max_wait_ms=0.5, max_depth=32),
-            use_executor=True,
-        )
-        heartbeats = []
-
-        async def heartbeat():
-            while True:
-                heartbeats.append(len(heartbeats))
-                await asyncio.sleep(0)
-
-        async def drive():
-            ticker = asyncio.ensure_future(heartbeat())
-            decisions = await asyncio.gather(
-                *(front.submit(frame) for frame in _frames(8, seed=3))
-            )
-            ticker.cancel()
-            await front.aclose()
-            return decisions
-
-        decisions = asyncio.run(drive())
-        assert len(decisions) == 8
-        assert heartbeats  # the loop turned over while batches flushed
-        assert front.stats.conserved()
+    """The flush's batch compute raises: that batch's waiters hear the
+    error, and the next batch computes normally, inline as every flush
+    does."""
 
     def test_executor_failure_propagates_then_recovers(
         self, untrained_classifier
@@ -196,7 +134,6 @@ class TestExecutorMode:
         front = AsyncServeFront(
             blocker,
             ServeSettings(max_batch=2, max_wait_ms=0.5, max_depth=16),
-            use_executor=True,
         )
         healthy = blocker.decide_many
         calls = {"n": 0}
@@ -226,34 +163,4 @@ class TestExecutorMode:
         assert all(d is not None for d in recovered)
         assert front.stats.failed == 2
         assert front.stats.answered == 2
-        assert front.stats.conserved()
-
-    def test_drain_waits_for_inflight_executor_batches(
-        self, untrained_classifier
-    ):
-        front = AsyncServeFront(
-            _blocker(untrained_classifier),
-            ServeSettings(max_batch=2, max_wait_ms=60_000.0, max_depth=32),
-            use_executor=True,
-        )
-
-        async def drive():
-            tasks = [
-                asyncio.ensure_future(front.submit(frame))
-                for frame in _frames(5, seed=6)
-            ]
-            await asyncio.sleep(0)
-            await front.drain()
-            # drain's contract: once it returns, nothing is queued and
-            # nothing is in flight — every waiter has its answer
-            assert front.depth == 0
-            assert not front._inflight
-            decisions = await asyncio.wait_for(
-                asyncio.gather(*tasks), timeout=1.0
-            )
-            await front.aclose()
-            return decisions
-
-        decisions = asyncio.run(drive())
-        assert len(decisions) == 5
         assert front.stats.conserved()
