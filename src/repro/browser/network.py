@@ -51,9 +51,6 @@ class MockNetwork:
     def has(self, url: str) -> bool:
         return url in self._registry
 
-    def element_for(self, url: str) -> PageElement:
-        return self._registry[url]
-
     def fetch(self, url: str) -> EncodedImage:
         """Resolve a URL to its encoded image (cached per URL)."""
         if url not in self._encoded_cache:

@@ -31,7 +31,7 @@ one of two modes (§1.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class BrowserProfile:
     style_cost_per_node_ms: float = 0.05
     display_item_cost_ms: float = 0.02
     filter_engine: Optional[FilterEngine] = None
-
-    @property
-    def shields_on(self) -> bool:
-        return self.filter_engine is not None
 
 
 def _brave_profile() -> BrowserProfile:
@@ -177,12 +173,13 @@ class Renderer:
         page sessions share one blocker's batches and memo.
 
         ``differ`` (or, when omitted, the serve bridge's own differ)
-        turns revisits incremental: before any decode, the page's image
-        regions are diffed against the session's stored snapshot and
-        unchanged regions settle from their stored verdict — only the
-        delta reaches the classification pipeline.  ``session_id``
-        scopes the snapshot (one browsing session's layout never leaks
-        into another's diff).
+        turns revisits incremental: before any decode, each image
+        region is recalled from the session's snapshot of the page, and
+        a region with unchanged encoded bytes settles from its stored
+        verdict — only the delta reaches the classification pipeline.
+        After raster the visit's settled verdicts replace the snapshot.
+        ``session_id`` scopes the snapshot (one browsing session's page
+        never answers another's).
         """
         if mode not in ("sync", "async"):
             raise ValueError(f"unknown blocking mode {mode!r}")
@@ -277,64 +274,44 @@ class Renderer:
         async_lanes: Optional[WorkerLanes] = None
 
         # -- incremental re-classification (diff layer) ----------------------
-        # Before anything decodes: diff this visit's image regions
-        # against the session's stored snapshot.  Unchanged regions
-        # settle from their stored verdict (blocked ones never decode);
-        # only the delta reaches the classification pipeline below.
+        # Before anything decodes: recall each image region from the
+        # session's snapshot of this page.  A region with the same URL
+        # and encoded bytes settles from its stored verdict (blocked
+        # ones never decode); only the delta reaches the
+        # classification pipeline below.
         active_differ = differ
         if active_differ is None and serve_bridge is not None:
             active_differ = serve_bridge.differ
         if percival is None:
             active_differ = None
-        region_views: List = []
-        inherited_by_url: Dict[str, object] = {}
-        settled_urls: set = set()
+        snapshot_session = session_id or "local"
+        #: content key of every unique fetched image region, by URL
+        content_keys: Dict[str, str] = {}
+        inherited: Dict[str, "BlockDecision"] = {}
         if active_differ is not None:
-            from repro.diff.snapshot import (
-                RegionView,
-                content_key_for_payload,
-            )
+            from repro.diff.snapshot import content_key_for_payload
 
-            diff_nodes = {
-                node.src: node for node in document.resource_elements()
-            }
-            seen_regions: set = set()
+            generation = percival.classifier.weights_version
             for item in display_list:
-                if item.kind is not DisplayItemKind.IMAGE:
+                url = item.url
+                if item.kind is not DisplayItemKind.IMAGE or (
+                    url in content_keys or url not in images
+                ):
                     continue
-                if item.url in seen_regions or item.url not in images:
-                    continue
-                seen_regions.add(item.url)
-                node = diff_nodes.get(item.url)
-                style_key = "|".join((
-                    getattr(node, "tag", "img") or "img",
-                    ",".join(getattr(node, "css_classes", ()) or ()),
-                    getattr(node, "element_id", "") or "",
-                ))
-                encoded = images[item.url].sk_image.encoded
-                region_views.append(RegionView(
-                    url=item.url,
-                    content_key=content_key_for_payload(
-                        encoded.payload, encoded.format.name
-                    ),
-                    x=int(item.x),
-                    y=int(item.y),
-                    width=int(item.width),
-                    height=int(item.height),
-                    style_key=style_key,
-                ))
-            plan = active_differ.plan(
-                session_id or "local",
-                page.url,
-                region_views,
-                revisit_memory=revisit_memory,
-            )
-            for view, record in plan.inherit:
-                images[view.url].settle_verdict(bool(record.is_ad))
-                settled_urls.add(view.url)
-                inherited_by_url[view.url] = record
-            metrics.diff_inherited = len(plan.inherit)
-            metrics.diff_reclassified = len(plan.reclassify)
+                encoded = images[url].sk_image.encoded
+                content_key = content_key_for_payload(
+                    encoded.payload, encoded.format.name
+                )
+                content_keys[url] = content_key
+                recalled = active_differ.recall(
+                    snapshot_session, page.url, url, content_key,
+                    generation=generation,
+                )
+                if recalled is not None:
+                    images[url].settle_verdict(recalled.is_ad)
+                    inherited[url] = recalled
+            metrics.diff_inherited = len(inherited)
+            metrics.diff_reclassified = len(content_keys) - len(inherited)
 
         #: model decisions captured at classification time, by URL —
         #: what the post-raster snapshot commit records
@@ -350,7 +327,7 @@ class Renderer:
             # deployment — only the real compute is batched.
             fresh = [
                 (url, image) for url, image in images.items()
-                if not image.is_decoded and url not in settled_urls
+                if not image.is_decoded and url not in inherited
             ]
             if fresh:
                 decisions = percival.decide_many(
@@ -471,7 +448,7 @@ class Renderer:
             percival_hook=hook,
             classify_cost_ms=cost_fn,
             on_image_first_touch=first_touch,
-            settled_urls=settled_urls or None,
+            settled_urls=set(inherited) or None,
         )
         metrics.raster_ms = raster.makespan_ms
         metrics.classify_cost_ms = raster.classify_cost_ms
@@ -488,28 +465,18 @@ class Renderer:
                     metrics.flashed_ads += 1
         if async_lanes is not None:
             metrics.async_classify_ms = async_lanes.makespan_ms
-        if active_differ is not None and region_views:
-            # commit this visit's snapshot: refreshed geometry for
-            # inherited regions, the captured/memoized model decision
-            # for classified ones, a verdict-less (non-inheritable)
-            # record otherwise.  Only model-computed decisions are
+        if active_differ is not None and content_keys:
+            # commit this visit's snapshot: the inherited verdict, or
+            # the captured/memoized model decision, for every region
+            # that has one.  Only model-computed decisions are
             # recorded, so an inherited verdict is always bit-identical
             # to what the memo path would have returned.
-            from repro.diff.snapshot import RegionRecord
-
-            records = []
-            for view in region_views:
-                inherited = inherited_by_url.get(view.url)
-                if inherited is not None:
-                    records.append(RegionRecord.from_view(
-                        view, inherited.is_ad, inherited.probability
-                    ))
-                    continue
-                decision = decision_by_url.get(view.url)
-                image = images.get(view.url)
+            settled: Dict[str, Tuple[str, "BlockDecision"]] = {}
+            for url, content_key in content_keys.items():
+                decision = inherited.get(url, decision_by_url.get(url))
+                image = images[url]
                 if (
                     decision is None
-                    and image is not None
                     and image.is_decoded
                     and not image.blocked
                 ):
@@ -521,12 +488,10 @@ class Renderer:
                         image.decode_only()
                     )
                 if decision is not None:
-                    records.append(RegionRecord.from_view(
-                        view, bool(decision.is_ad), float(decision.probability)
-                    ))
-                else:
-                    records.append(RegionRecord.from_view(view))
-            active_differ.commit(session_id or "local", page.url, records)
+                    settled[url] = (content_key, decision)
+            active_differ.commit(
+                snapshot_session, page.url, settled, generation=generation
+            )
         if revisit_memory is not None:
             for url, bitmap_image in images.items():
                 if bitmap_image.blocked:

@@ -56,30 +56,15 @@ class RevisitMemory:
             self._blocked.popitem(last=False)
         self.stats.recorded += 1
 
-    def contains(self, url: str) -> bool:
-        """Read-only probe: was this resource blocked on a previous
-        visit?  Never touches LRU order or stats — safe for speculative
-        callers (the differ's semantic filter probes removed regions
-        without committing anything)."""
-        return url in self._blocked
-
-    def commit_collapse(self, url: str) -> None:
-        """Commit an actual collapse of ``url``: refresh its LRU slot
-        (the entry proved useful, keep it resident) and count it."""
+    def should_collapse(self, url: str) -> bool:
+        """Was this resource blocked on a previous visit?  A hit counts
+        as a collapse and refreshes LRU order (the entry proved useful,
+        keep it resident) — the renderer's pre-layout hook."""
         if url not in self._blocked:
-            return
+            return False
         self._blocked.move_to_end(url)
         self.stats.collapsed += 1
-
-    def should_collapse(self, url: str) -> bool:
-        """Probe-and-commit: was this resource blocked on a previous
-        visit?  A hit counts as a collapse and refreshes LRU order —
-        the renderer's pre-layout hook, unchanged.  Callers that only
-        want to *ask* should use :meth:`contains`."""
-        hit = self.contains(url)
-        if hit:
-            self.commit_collapse(url)
-        return hit
+        return True
 
     def __len__(self) -> int:
         return len(self._blocked)

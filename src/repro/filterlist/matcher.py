@@ -66,7 +66,3 @@ class TokenIndex:
             found.extend(self._by_token.get(token, ()))
         found.extend(self._tokenless)
         return found
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._by_token)

@@ -19,15 +19,3 @@ def kaiming_normal(
     std = np.sqrt(2.0 / max(fan_in, 1))
     return rng.normal(0.0, std, size=shape).astype(dtype)
 
-
-def xavier_uniform(
-    shape: tuple,
-    rng: np.random.Generator,
-    dtype: np.dtype = np.float32,
-) -> np.ndarray:
-    """Glorot/Xavier-uniform initialization (used for the final classifier
-    conv, where the output feeds a softmax rather than a ReLU)."""
-    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else int(shape[0])
-    fan_out = int(shape[0])
-    limit = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)

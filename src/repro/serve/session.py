@@ -324,8 +324,8 @@ class RenderServeBridge:
         #: ``differ`` is the session-scoped snapshot differ; the
         #: renderer picks it up so revisits of a page inherit unchanged
         #: regions' verdicts before any decode happens (None = diff
-        #: off).  The renderer drives it page by page (plan/commit), so
-        #: the chain's per-frame diff tier stays off here.
+        #: off).  The renderer drives it page by page (recall/commit),
+        #: so the chain's per-frame diff tier stays off here.
         self.cascade, self.differ, _, _ = resolve_tiers(
             blocker.classifier.config, cascade, differ,
             chaos=False, resilience=False,

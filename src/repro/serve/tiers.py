@@ -33,7 +33,6 @@ from repro.cascade.router import CascadeHit, CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import PercivalConfig, knob
 from repro.diff.differ import FrameDiffer
-from repro.diff.snapshot import RegionRecord
 from repro.resilience.chaos import (
     ChaosCursor,
     ChaosInjectedError,
@@ -312,6 +311,7 @@ class TierChain:
             recalled = self.guard("diff", now_ms, lambda: differ.recall(
                 request.session_id, provenance.page_domain,
                 provenance.url, request.content_key,
+                generation=self.blocker.classifier.weights_version,
             ))
             if recalled is not None:
                 stats.diff_hits += 1
@@ -467,20 +467,15 @@ class TierChain:
         """
         differ, cascade = self.differ, self.cascade
         if differ is not None:
+            generation = self.blocker.classifier.weights_version
             for settled in group:
                 provenance = settled.provenance
                 if provenance is None or not settled.content_key:
                     continue
-                record = RegionRecord(
-                    url=provenance.url,
-                    content_key=settled.content_key,
-                    width=provenance.width,
-                    height=provenance.height,
-                    is_ad=bool(decision.is_ad),
-                    probability=float(decision.probability),
-                )
                 self.guard("diff", now_ms, lambda: differ.remember(
-                    settled.session_id, provenance.page_domain, record
+                    settled.session_id, provenance.page_domain,
+                    provenance.url, settled.content_key, decision,
+                    generation=generation,
                 ), write=True)
         if cascade is not None:
             self.guard("cascade", now_ms, lambda: _feed_cascade_once(

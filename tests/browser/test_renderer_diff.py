@@ -13,12 +13,19 @@ The contract pinned here, in both deployment modes:
   session's page.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.browser.network import MockNetwork, NetworkConfig
 from repro.browser.renderer import CHROMIUM, Renderer
-from repro.core import PercivalBlocker, ServeSettings
+from repro.core import (
+    AdClassifier,
+    PercivalBlocker,
+    PercivalConfig,
+    ServeSettings,
+)
 from repro.core.revisit import RevisitMemory
 from repro.diff import FrameDiffer
 from repro.serve import RenderServeBridge
@@ -58,7 +65,7 @@ class TestSyncDiff:
         assert second.classify_cost_ms == 0.0
         assert second.memo_hits == 0  # settled before the memo tier
         assert second.images_decoded == first.images_decoded
-        assert differ.stats.identical_pages == 1
+        assert differ.stats.recall_hits == second.diff_inherited
 
     def test_inherited_verdicts_match_the_diff_free_revisit(
         self, small_web, reference_classifier
@@ -96,6 +103,61 @@ class TestSyncDiff:
         # but the diff layer itself reports a first visit)
         assert other.diff_inherited == 0
         assert other.diff_reclassified > 0
+
+    def test_removed_then_readded_region_reclassifies(
+        self, small_web, reference_classifier
+    ):
+        """A visit's commit replaces the page's snapshot: a region gone
+        on visit 2 is forgotten, so its return on visit 3 reclassifies
+        while every region that stayed still inherits."""
+        pages, network = small_web
+        renderer = Renderer(CHROMIUM, network)
+        blocker = _blocker(reference_classifier)
+        differ = FrameDiffer()
+        page = pages[0]
+        first = renderer.render(page, percival=blocker, mode="sync",
+                                differ=differ)
+        removed = next(iter(differ.store.get("local", page.url)))
+        without = replace(page, elements=[
+            element for element in page.elements if element.url != removed
+        ])
+        second = renderer.render(without, percival=blocker, mode="sync",
+                                 differ=differ)
+        assert second.diff_inherited == first.diff_reclassified - 1
+        assert second.diff_reclassified == 0
+        third = renderer.render(page, percival=blocker, mode="sync",
+                                differ=differ)
+        assert third.diff_inherited == first.diff_reclassified - 1
+        assert third.diff_reclassified == 1
+        assert (third.images_blocked_by_percival
+                == first.images_blocked_by_percival)
+
+    def test_reloaded_weights_never_serve_a_stored_verdict(
+        self, small_web, reference_classifier, tmp_path
+    ):
+        """Snapshots are generation-keyed like the blocker's memo: once
+        the classifier loads other weights, the revisit re-classifies
+        every region and blocks what those weights block."""
+        pages, network = small_web
+        renderer = Renderer(CHROMIUM, network)
+        weights = str(tmp_path / "reference.npz")
+        reference_classifier.save(weights)
+        classifier = AdClassifier(PercivalConfig())
+        blocker = _blocker(classifier)
+        differ = FrameDiffer()
+        first = renderer.render(pages[1], percival=blocker, mode="sync",
+                                differ=differ)
+        classifier.load(weights)
+        second = renderer.render(pages[1], percival=blocker, mode="sync",
+                                 differ=differ)
+        expected = renderer.render(
+            pages[1], percival=_blocker(reference_classifier), mode="sync"
+        )
+        assert second.diff_inherited == 0
+        assert second.diff_reclassified == first.diff_reclassified
+        assert (second.images_blocked_by_percival
+                == expected.images_blocked_by_percival
+                != first.images_blocked_by_percival)
 
     def test_no_differ_is_the_pre_diff_path(
         self, small_web, reference_classifier
@@ -195,12 +257,40 @@ class TestAsyncBridgeDiff:
         assert second.async_classify_ms == 0.0
         assert bridge.depth == 0
 
+    def test_bridge_differ_drops_verdicts_of_replaced_weights(
+        self, small_web, untrained_classifier, tmp_path
+    ):
+        """The bridge-owned differ follows the same generation rule:
+        after ``classifier.load`` the revisit settles nothing from the
+        snapshot, and the drain-time commit refills it under the new
+        weights."""
+        pages, network = small_web
+        renderer = Renderer(CHROMIUM, network)
+        weights = str(tmp_path / "untrained.npz")
+        untrained_classifier.save(weights)
+        classifier = AdClassifier(PercivalConfig(seed=5))
+        blocker = _blocker(classifier)
+        bridge = RenderServeBridge(
+            blocker, ServeSettings(max_batch=8), differ=FrameDiffer()
+        )
+        first = renderer.render(pages[0], percival=blocker, mode="async",
+                                serve_bridge=bridge)
+        classifier.load(weights)
+        second = renderer.render(pages[0], percival=blocker, mode="async",
+                                 serve_bridge=bridge)
+        third = renderer.render(pages[0], percival=blocker, mode="async",
+                                serve_bridge=bridge)
+        assert second.diff_inherited == 0
+        assert second.diff_reclassified == first.diff_reclassified > 0
+        assert third.diff_inherited == first.diff_reclassified
+        assert third.diff_reclassified == 0
+
     def test_async_snapshot_records_drain_time_decisions(
         self, small_web, untrained_classifier
     ):
         """Async mode classifies at drain time — the snapshot commit
-        back-fills those verdicts from the memo, so visit 2 inherits
-        full decisions, not verdict-less records."""
+        back-fills those verdicts from the memo, so every decoded
+        region is stored with a full decision for visit 2."""
         pages, network = small_web
         renderer = Renderer(CHROMIUM, network)
         blocker = _blocker(untrained_classifier)
@@ -208,8 +298,8 @@ class TestAsyncBridgeDiff:
         bridge = RenderServeBridge(
             blocker, ServeSettings(max_batch=8), differ=differ
         )
-        renderer.render(pages[3], percival=blocker, mode="async",
-                        serve_bridge=bridge)
+        metrics = renderer.render(pages[3], percival=blocker, mode="async",
+                                  serve_bridge=bridge)
         snapshot = differ.store.get("local", pages[3].url)
         assert snapshot is not None
-        assert all(r.inheritable for r in snapshot.regions.values())
+        assert len(snapshot) == metrics.images_decoded > 0

@@ -40,50 +40,22 @@ class TestRevisitMemory:
         memory.clear()
         assert len(memory) == 0
 
+    def test_collapse_keeps_the_entry_resident(self):
+        """A hit refreshes LRU order: a slot that keeps collapsing
+        outlives entries that were only recorded."""
+        memory = RevisitMemory(capacity=2)
+        memory.record_blocked("u1")
+        memory.record_blocked("u2")
+        assert memory.should_collapse("u1")
+        memory.record_blocked("u3")
+        assert memory.should_collapse("u1")
+        assert not memory.should_collapse("u2")
+
     def test_stats_tracked(self):
         memory = RevisitMemory()
         memory.record_blocked("u")
         memory.should_collapse("u")
         assert memory.stats.recorded == 1
-        assert memory.stats.collapsed == 1
-
-    def test_contains_is_a_read_only_probe(self):
-        """``contains`` never counts a collapse and never refreshes
-        LRU order — a speculative probe (the differ's semantic filter)
-        must not keep entries alive or inflate the §6 stats."""
-        memory = RevisitMemory(capacity=2)
-        memory.record_blocked("u1")
-        memory.record_blocked("u2")
-        assert memory.contains("u1")
-        assert memory.stats.collapsed == 0
-        # u1 was probed but not refreshed: still the eviction victim
-        memory.record_blocked("u3")
-        assert not memory.contains("u1")
-        assert memory.contains("u2") and memory.contains("u3")
-
-    def test_commit_collapse_refreshes_and_counts(self):
-        memory = RevisitMemory(capacity=2)
-        memory.record_blocked("u1")
-        memory.record_blocked("u2")
-        memory.commit_collapse("u1")  # proved useful: keep resident
-        assert memory.stats.collapsed == 1
-        memory.record_blocked("u3")
-        assert memory.contains("u1")
-        assert not memory.contains("u2")
-
-    def test_commit_collapse_on_unknown_url_is_a_no_op(self):
-        memory = RevisitMemory()
-        memory.commit_collapse("never-seen")
-        assert memory.stats.collapsed == 0
-
-    def test_should_collapse_composes_probe_and_commit(self):
-        """The renderer hook is exactly contains() + commit_collapse():
-        a hit counts one collapse, a miss commits nothing."""
-        memory = RevisitMemory()
-        memory.record_blocked("u")
-        assert memory.should_collapse("u")
-        assert memory.stats.collapsed == 1
-        assert not memory.should_collapse("other")
         assert memory.stats.collapsed == 1
 
 

@@ -1,128 +1,95 @@
 """Property-based laws of the snapshot differ (hypothesis).
 
-The three laws the incremental re-classification layer stands on:
+An arbitrary interleaving of ``commit``/``remember``/``recall`` (and
+weight reloads) runs against a plain reference store of content keys.
+Every recall must agree with the reference, which pins down:
 
-1. **self-diff is empty** — diffing a snapshot against its own regions
-   yields no work of any kind,
-2. **round trip** — ``apply_diff(old, tree_diff(old, views))``
-   reconstructs exactly the new visit's region map: the diff loses no
-   information in either direction,
-3. **inheritance never flips a verdict** — for a model that is a pure
+1. **inheritance never flips a verdict** — for a model that is a pure
    function of region content (PERCIVAL's §3.2 property), every
-   verdict the semantic filter inherits equals what re-classifying the
-   region would have produced, and non-inheritable records are never
-   inherited.
+   recalled verdict equals what re-classifying the region would have
+   produced,
+2. **changed content never recalls** — a hit needs the stored content
+   key to equal the probed one,
+3. **sessions stay isolated** — one session's writes never answer
+   another session's (or another page's) probe,
+4. **commit replaces, remember upserts** — a commit forgets the page's
+   regions it does not list; a remember keeps every other region,
+5. **generation** — a verdict stored under one ``weights_version``
+   never answers under another.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.diff import (
-    RegionRecord,
-    RegionView,
-    SnapshotStore,
-    apply_diff,
-    semantic_filter,
-    tree_diff,
-)
+from repro.core.blocker import BlockDecision
+from repro.diff import FrameDiffer
 
-#: small pools so URL/content collisions (the interesting cases) are
-#: common rather than vanishing
-_URLS = [f"https://site.example/r{i}.png" for i in range(8)]
+#: small pools so URL/content/session collisions (the interesting
+#: cases) are common rather than vanishing
+_URLS = [f"https://site.example/r{i}.png" for i in range(5)]
 _CONTENT_KEYS = ["k-ad", "k-content", "k-other"]
-
-_view_strategy = st.builds(
-    RegionView,
-    url=st.sampled_from(_URLS),
-    content_key=st.sampled_from(_CONTENT_KEYS),
-    x=st.integers(0, 3),
-    y=st.integers(0, 3),
-    width=st.integers(1, 2),
-    height=st.integers(1, 2),
-    style_key=st.sampled_from(["s-a", "s-b"]),
-)
-
-_views_strategy = st.lists(_view_strategy, max_size=12)
+_SESSIONS = ["alice", "bob"]
+_PAGES = ["p1", "p2"]
 
 
-def _model(content_key: str):
+def _model(content_key: str) -> BlockDecision:
     """A deterministic 'classifier': pure function of region content."""
     is_ad = content_key == "k-ad"
-    probability = 0.97 if is_ad else 0.03
-    return is_ad, probability
-
-
-def _snapshot_from(views, settled):
-    """Commit ``views`` as a snapshot; ``settled`` views carry the
-    model's full decision, the rest are verdict-less records."""
-    store = SnapshotStore()
-    records = []
-    for index, view in enumerate(views):
-        if index in settled:
-            is_ad, probability = _model(view.content_key)
-            records.append(RegionRecord.from_view(view, is_ad, probability))
-        else:
-            records.append(RegionRecord.from_view(view))
-    return store.commit("session", "page", records)
-
-
-@given(views=_views_strategy)
-@settings(max_examples=200, deadline=None)
-def test_self_diff_is_empty(views):
-    snapshot = _snapshot_from(views, settled=set(range(len(views))))
-    diff = tree_diff(
-        snapshot, [record.view() for record in snapshot.regions.values()]
+    return BlockDecision(
+        is_ad=is_ad, probability=0.97 if is_ad else 0.03, from_cache=False
     )
-    assert diff.is_empty
-    assert not diff.added and not diff.removed and not diff.changed
-    assert not diff.moved and not diff.restyled
-    assert diff.delta_regions == 0
-    assert len(diff.unchanged) == len(snapshot.regions)
 
 
-@given(old_views=_views_strategy, new_views=_views_strategy)
-@settings(max_examples=200, deadline=None)
-def test_apply_diff_round_trip(old_views, new_views):
-    snapshot = _snapshot_from(old_views, settled=set())
-    diff = tree_diff(snapshot, new_views)
-    rebuilt = apply_diff(snapshot.regions, diff)
-    assert rebuilt == {view.url: view for view in new_views}
+_session = st.sampled_from(_SESSIONS)
+_page = st.sampled_from(_PAGES)
+_url = st.sampled_from(_URLS)
+_content_key = st.sampled_from(_CONTENT_KEYS)
 
-
-@given(new_views=_views_strategy)
-@settings(max_examples=100, deadline=None)
-def test_first_visit_round_trip(new_views):
-    diff = tree_diff(None, new_views)
-    assert diff.first_visit
-    assert not diff.is_empty  # a first visit is never "no work"
-    assert apply_diff({}, diff) == {view.url: view for view in new_views}
-
-
-@given(
-    old_views=_views_strategy,
-    new_views=_views_strategy,
-    settled=st.sets(st.integers(0, 11)),
+_op_strategy = st.one_of(
+    st.tuples(
+        st.just("commit"), _session, _page,
+        st.dictionaries(_url, _content_key, max_size=5),
+    ),
+    st.tuples(st.just("remember"), _session, _page, _url, _content_key),
+    st.tuples(st.just("recall"), _session, _page, _url, _content_key),
+    st.tuples(st.just("reload")),
 )
-@settings(max_examples=200, deadline=None)
-def test_inheritance_never_flips_a_verdict(old_views, new_views, settled):
-    snapshot = _snapshot_from(old_views, settled=settled)
-    diff = tree_diff(snapshot, new_views)
-    plan = semantic_filter(diff, snapshot)
 
-    # partition completeness: every current region is planned once
-    current = {view.url for view in new_views}
-    planned = plan.inherited_urls | {v.url for v in plan.reclassify}
-    assert planned == current
-    assert plan.total_regions == len(current)
 
-    for view, record in plan.inherit:
-        # only full decisions are inheritable, and only for regions
-        # whose content is byte-identical to the stored observation
-        assert record.inheritable
-        assert record.content_key == view.content_key
-        decision = record.verdict()
-        assert decision is not None and decision.from_cache
-        # the law itself: for a content-pure model, the inherited
-        # verdict equals what re-classification would have produced
-        is_ad, probability = _model(view.content_key)
-        assert decision.is_ad == is_ad
-        assert decision.probability == probability
+@given(ops=st.lists(_op_strategy, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_inheritance_never_flips_a_verdict(ops):
+    differ = FrameDiffer()
+    #: (session, page) -> {url: content key} the model settled
+    reference = {}
+    generation = 0
+    hits = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "reload":
+            generation += 1
+            reference.clear()
+        elif kind == "commit":
+            _, session, page, regions = op
+            differ.commit(session, page, {
+                url: (key, _model(key)) for url, key in regions.items()
+            }, generation=generation)
+            reference[(session, page)] = dict(regions)
+        elif kind == "remember":
+            _, session, page, url, key = op
+            differ.remember(session, page, url, key, _model(key),
+                            generation=generation)
+            reference.setdefault((session, page), {})[url] = key
+        else:
+            _, session, page, url, key = op
+            recalled = differ.recall(session, page, url, key,
+                                     generation=generation)
+            stored = reference.get((session, page), {}).get(url)
+            if stored != key:
+                assert recalled is None
+                continue
+            hits += 1
+            expected = _model(key)
+            assert recalled == BlockDecision(
+                expected.is_ad, expected.probability, from_cache=True
+            )
+    assert differ.stats.recall_hits == hits

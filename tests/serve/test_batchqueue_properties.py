@@ -24,7 +24,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import ServeSettings
-from repro.diff import FrameDiffer, RegionRecord, RegionView
+from repro.core.blocker import BlockDecision
+from repro.diff import FrameDiffer
 from repro.serve import BatchQueue, ServeRequest
 
 _DUMMY = np.zeros((1, 1, 4), dtype=np.float32)
@@ -335,43 +336,47 @@ _SLOT_KEYS = ["ck-ad", "ck-content", "ck-churned"]
 #: creatives are background — gives every residue stream mixed classes
 _SLOT_PRIORITY = {"ck-ad": 0, "ck-content": 1, "ck-churned": 3}
 
-_region_strategy = st.builds(
-    RegionView,
-    url=st.sampled_from(_SLOT_URLS),
-    content_key=st.sampled_from(_SLOT_KEYS),
+#: a region is ``(url, content_key)``
+_region_strategy = st.tuples(
+    st.sampled_from(_SLOT_URLS), st.sampled_from(_SLOT_KEYS)
 )
 _page_strategy = st.lists(_region_strategy, min_size=1, max_size=8)
 
 
 def _residue_requests(first_visit, second_visit):
-    """Run two visits through the differ; the reclassify residue of the
-    second visit becomes the queue's arrival stream."""
+    """Run two visits through the differ; the regions of the second
+    visit that do not recall become the queue's arrival stream."""
     differ = FrameDiffer()
     differ.commit(
         "s", "page",
-        [
-            RegionRecord.from_view(
-                view,
-                view.content_key == "ck-ad",
-                0.97 if view.content_key == "ck-ad" else 0.03,
-            )
-            for view in first_visit
-        ],
+        {
+            url: (content_key, BlockDecision(
+                is_ad=content_key == "ck-ad",
+                probability=0.97 if content_key == "ck-ad" else 0.03,
+                from_cache=False,
+            ))
+            for url, content_key in first_visit
+        },
+        generation=0,
     )
-    plan = differ.plan("s", "page", second_visit)
-    # the plan partitions the page: whatever does not inherit enqueues
-    current = {view.url for view in second_visit}
-    assert plan.inherited_urls | {v.url for v in plan.reclassify} == current
+    # one region per URL, the last observation wins (the renderer's
+    # image-cache identity); whatever does not recall enqueues
+    residue = [
+        (url, content_key)
+        for url, content_key in dict(second_visit).items()
+        if differ.recall("s", "page", url, content_key, generation=0)
+        is None
+    ]
     return [
         ServeRequest(
             request_id=index,
             session_id="s",
-            key=view.url,
+            key=url,
             bitmap=_DUMMY,
             arrival_ms=float(index),
-            priority=_SLOT_PRIORITY[view.content_key],
+            priority=_SLOT_PRIORITY[content_key],
         )
-        for index, view in enumerate(plan.reclassify)
+        for index, (url, content_key) in enumerate(residue)
     ]
 
 

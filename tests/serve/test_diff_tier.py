@@ -10,11 +10,12 @@ import pytest
 from repro.cascade import CascadeRouter, FrameProvenance
 from repro.core import (
     AdClassifier,
+    BlockDecision,
     PercivalBlocker,
     PercivalConfig,
     ServeSettings,
 )
-from repro.diff import FrameDiffer, RegionRecord, RegionView
+from repro.diff import FrameDiffer
 from repro.serve import (
     ArrivalEvent,
     AsyncServeFront,
@@ -170,17 +171,15 @@ def test_diff_tier_wins_over_rules_and_memo():
         width=320,
         height=100,
     )
+    blocker = _blocker()
     differ = FrameDiffer()
     differ.remember(
-        "s0", provenance.page_domain,
-        RegionRecord(
-            url=provenance.url, content_key="ck", width=320, height=100,
-            is_ad=True, probability=0.93,
-        ),
+        "s0", provenance.page_domain, provenance.url, "ck",
+        BlockDecision(is_ad=True, probability=0.93, from_cache=False),
+        generation=blocker.classifier.weights_version,
     )
     router = CascadeRouter.with_default_filterlist()
     router.cache.compile_rule(provenance.micro_key(), True, 0.99)
-    blocker = _blocker()
     event = ArrivalEvent(
         at_ms=0.0, session_id="s0", bitmap=bitmap,
         provenance=provenance, content_key="ck",
@@ -236,13 +235,35 @@ def test_changed_content_is_never_answered_from_the_snapshot():
     not leak through the content-key check."""
     differ = FrameDiffer()
     differ.remember(
-        "s0", "page",
-        RegionRecord(
-            url="u", content_key="old", is_ad=True, probability=0.9
-        ),
+        "s0", "page", "u", "old",
+        BlockDecision(is_ad=True, probability=0.9, from_cache=False),
+        generation=0,
     )
-    assert differ.recall("s0", "page", "u", "new") is None
-    view = RegionView(url="u", content_key="new")
-    plan = differ.plan("s0", "page", [view])
-    assert plan.inherit == []
-    assert [v.url for v in plan.reclassify] == ["u"]
+    assert differ.recall("s0", "page", "u", "new", generation=0) is None
+    assert differ.recall("s0", "page", "u", "old", generation=0) is not None
+
+
+def test_reloaded_weights_never_serve_a_stored_verdict(tmp_path):
+    """Snapshots are generation-keyed like the blocker's memo: after
+    ``classifier.load`` of other weights, a revisit re-classifies under
+    the new weights instead of recalling the old P(ad)."""
+    other = AdClassifier(PercivalConfig(calibrated_latency_ms=1.0, seed=99))
+    weights = str(tmp_path / "seed99.npz")
+    other.save(weights)
+    traffic = synthesize_traffic(TrafficSpec(revisits=1, provenance=True))
+    blocker = _blocker()
+    differ = FrameDiffer()
+    ServeLoop(blocker, SETTINGS, cascade=False, differ=differ).run(traffic)
+    blocker.classifier.load(weights)
+    served = ServeLoop(
+        blocker, SETTINGS, cascade=False, differ=differ
+    ).run(traffic)
+    fresh = ServeLoop(
+        PercivalBlocker(other, calibrated_latency_ms=1.0), SETTINGS,
+        cascade=False, differ=False,
+    ).run(traffic)
+    assert served.stats.shed == fresh.stats.shed == 0
+    assert served.stats.diff_hits > 0
+    assert {
+        r.request_id: r.decision.probability for r in served.results
+    } == {r.request_id: r.decision.probability for r in fresh.results}
