@@ -8,12 +8,15 @@ code that produced it), a trend table is printed for every shared
 metric, and the job **fails** when a gated metric regressed by more
 than ``--regression-threshold`` (default 20%).
 
-Gating policy — only metric names containing ``speedup`` or
-``req_per_s`` (throughput) gate, and only in the harmful direction
-(lower than baseline).  Latency percentiles, makespans, and counters
-are trend-reported but never gate: wall-clock numbers move with runner
+Gating policy — only metric names containing ``speedup`` gate, and
+only in the harmful direction (lower than baseline).  Throughput rates
+(``*_req_per_s``), latency percentiles, makespans, and counters are
+trend-reported but never gate: wall-clock numbers move with runner
 hardware, whereas speedup ratios are self-normalizing and a >20%
-collapse means the optimization itself broke.  Metrics present only in
+collapse means the optimization itself broke.  Each wall-clock rate
+worth guarding has a ratio next to it that gates instead
+(``serving_throughput.speedup`` for the served and sequential rates,
+``sharded_inference.sharded_speedup`` for the worker pool).  Metrics present only in
 the fresh run (a new benchmark) pass with a notice so adding a
 benchmark never requires a baseline in the same commit; metrics present
 only in the baseline fail — a silently vanished benchmark is exactly
@@ -28,9 +31,9 @@ import argparse
 import json
 import sys
 
-#: substrings of metric names that gate (self-normalizing ratios and
-#: throughput rates); everything else is trend-only
-GATED_MARKERS = ("speedup", "req_per_s")
+#: substrings of metric names that gate (self-normalizing ratios);
+#: everything else is trend-only
+GATED_MARKERS = ("speedup",)
 
 
 def is_gated(metric: str) -> bool:

@@ -19,9 +19,12 @@ Three hot-path refinements over the naive per-frame loop:
 * a blocker holding an :class:`~repro.core.workerpool.InferenceWorkerPool`
   handle shards large memo-miss batches across worker processes
   (scatter/gather of sub-batches; weights shipped once via shared
-  memory).  Batches under ``shard_min_batch``, pool failures, and
-  pool-less blockers all run the single-process fast path — sharding
-  can only change *where* a probability is computed, never its value.
+  memory), with the calling thread computing the last shard as lane
+  N + 1 while the workers run — so the pool call is the critical-path
+  compute, not a wait on the pipes.  Batches under ``shard_min_batch``,
+  pool failures, and pool-less blockers all run the single-process
+  fast path — sharding can only change *where* a probability is
+  computed, never its value.
 
 Memoized verdicts are generation-keyed on the classifier's
 ``weights_version``: a ``load()``/``train()`` (which also covers a

@@ -3,9 +3,22 @@
 :class:`InferenceWorkerPool` owns N worker processes that each hold a
 private copy of the model and a compiled
 :class:`~repro.nn.inference.InferencePlan`.  The parent splits a
-memo-miss batch into per-worker sub-batches, scatters them over pipes,
-and gathers per-frame ad probabilities back in order — so a page's
-batched forward pass scales with cores instead of saturating one GIL.
+memo-miss batch into N + 1 equal sub-batches, scatters the first N over
+pipes, computes the last one itself while the workers run, and gathers
+per-frame ad probabilities back in order — so a page's batched forward
+pass scales with cores instead of saturating one GIL, and the parent's
+core works instead of idling on the pipes.
+
+The parent is lane N + 1, but not a worker: its lane is a classifier
+rebuilt at ``publish()`` from the published export and segment bytes by
+the same :meth:`~repro.core.classifier.AdClassifier.from_plan_export`
+call the workers make, so all N + 1 lanes compute over one
+publication's bytes — a ``load()`` that has not been published yet
+cannot leak into a batch.  ``num_workers`` and ``available_capacity``
+count worker processes only: the parent's lane is the calling thread,
+busy for the whole call, so it adds no room for a second concurrent
+batch, and the serving layer's lane resolution sees the same capacity
+as before.
 
 Weight handoff is the part worth reading twice:
 
@@ -29,15 +42,17 @@ Weight handoff is the part worth reading twice:
 * publication is fingerprint-keyed, and the fingerprint covers the
   storage precision.  Re-publishing the same weights is a no-op;
   publishing after ``AdClassifier.load()``/``train()`` — or from a
-  classifier at a different precision — ships a fresh segment and
-  every worker recompiles its plan.  A pool can therefore never mix
-  precisions across a publication.
+  classifier at a different precision — ships a fresh segment, every
+  worker recompiles its plan, and the parent rebuilds its lane.  A pool
+  can therefore never mix precisions across a publication.
 
 Failure semantics: any worker death or timeout surfaces as
 :class:`WorkerPoolError`, which callers (``PercivalBlocker``) treat as
 "fall back to in-process inference" — a dying pool can slow a page
-down, never mis-classify it.  Dead workers are respawned on the next
-call, but not forever: replacements draw on a bounded **respawn
+down, never mis-classify it.  An exception in the parent's own lane
+propagates as raised, after the workers' in-flight replies are
+drained.  Dead workers are respawned on the next call, but not
+forever: replacements draw on a bounded **respawn
 budget** (``respawn_budget``, default 16) with exponential backoff
 between attempts, so a deterministically-crashing worker degrades the
 pool to its surviving workers (and eventually to the in-process path)
@@ -196,6 +211,8 @@ class InferenceWorkerPool:
         self._workers: List[_Worker] = []
         self._segment: Optional[shared_memory.SharedMemory] = None
         self._export: Optional[PlanExport] = None
+        #: the parent's lane: the published export, rebuilt in-process
+        self._lane: Optional[AdClassifier] = None
         self._task_counter = 0
         self._closed = False
         self._dispatching = False
@@ -257,10 +274,13 @@ class InferenceWorkerPool:
         queueing behind anything.
 
         ``0`` when the pool is closed, has no published weights, or is
-        mid-``predict_proba`` (the parent gathers synchronously, so a
-        concurrent caller would serialize behind the in-flight batch);
-        otherwise the full worker count — dead workers are respawned at
-        call entry, so they still count as capacity.  Once the respawn
+        mid-``predict_proba`` (the parent computes its own shard and
+        then gathers synchronously, so a concurrent caller would
+        serialize behind the in-flight batch); otherwise the full
+        worker count — dead workers are respawned at call entry, so
+        they still count as capacity.  The parent's lane is not
+        counted: it is the calling thread, busy for the whole call, so
+        it adds no room for a second concurrent batch.  Once the respawn
         budget is exhausted nothing will replace further deaths, so
         capacity honestly degrades to the surviving workers.  The
         serving layer polls this without blocking to size and pace its
@@ -276,13 +296,14 @@ class InferenceWorkerPool:
     # Weight publication
     # ------------------------------------------------------------------
     def publish(self, classifier: AdClassifier) -> str:
-        """Ship ``classifier``'s weights to every worker.
+        """Ship ``classifier``'s weights to every worker and the
+        parent's lane.
 
         Fingerprint-keyed: publishing unchanged weights to a healthy
         pool is a no-op; publishing after the classifier's weights were
         replaced (``load()``/``train()``) creates a fresh shared
-        segment and every worker recompiles its plan from it.  Returns
-        the published fingerprint.
+        segment, the parent rebuilds its lane from it, and every worker
+        recompiles its plan from it.  Returns the published fingerprint.
         """
         self._ensure_open()
         if self._fail_next_publish:
@@ -304,13 +325,18 @@ class InferenceWorkerPool:
                 ) from exc
             try:
                 classifier.pack_weights_into(export, segment.buf)
+                # the workers' import, from the very segment bytes they read
+                lane = AdClassifier.from_plan_export(export, segment.buf)
             except Exception as exc:
                 segment.close()
                 segment.unlink()
-                raise WorkerPoolError(f"could not pack weights: {exc}") from exc
+                raise WorkerPoolError(
+                    f"could not publish weights: {exc}"
+                ) from exc
             self._retire_segment()
             self._segment = segment
             self._export = export
+            self._lane = lane
         # same fingerprint: the live segment already holds these bytes;
         # only dead/stale workers need (re)syncing, which is a no-op for
         # a healthy pool.
@@ -321,15 +347,17 @@ class InferenceWorkerPool:
     # Sharded inference
     # ------------------------------------------------------------------
     def predict_proba(self, batch: np.ndarray) -> np.ndarray:
-        """P(ad) for a preprocessed NCHW batch, sharded across workers.
+        """P(ad) for a preprocessed NCHW batch, sharded across the
+        workers and the parent.
 
-        Sub-batches are contiguous ``array_split`` slices, gathered in
-        scatter order, so the result aligns one-to-one with ``batch``.
-        Raises :class:`WorkerPoolError` on worker death or timeout —
-        never a silently wrong probability.  On any failure, workers
-        still holding an in-flight reply are drained (or discarded when
-        they cannot be), so one bad batch never poisons the pipes for
-        the next call.
+        Sub-batches are contiguous ``array_split`` slices, one per live
+        worker plus a last one the parent computes while the workers
+        run, gathered in split order, so the result aligns one-to-one
+        with ``batch``.  Raises :class:`WorkerPoolError` on worker death
+        or timeout — never a silently wrong probability.  On any
+        failure, the parent's lane included, workers still holding an
+        in-flight reply are drained (or discarded when they cannot be),
+        so one bad batch never poisons the pipes for the next call.
         """
         self._ensure_open()
         if self._export is None:
@@ -341,14 +369,12 @@ class InferenceWorkerPool:
             self._sync_workers()
             # split across the workers actually alive — a pool running
             # degraded (deferred/exhausted respawns) still covers the
-            # whole batch, just across fewer processes
-            shards = [
-                shard
-                for shard in np.array_split(batch, len(self._workers))
-                if shard.shape[0]
-            ]
+            # whole batch, just across fewer processes — plus the parent
+            *shards, own_shard = np.array_split(batch, len(self._workers) + 1)
             in_flight: List[Tuple[_Worker, int]] = []
             for worker, shard in zip(self._workers, shards):
+                if not shard.shape[0]:
+                    break
                 self._task_counter += 1
                 task_id = self._task_counter
                 try:
@@ -360,6 +386,12 @@ class InferenceWorkerPool:
                         f"worker died during scatter: {exc}"
                     ) from exc
                 in_flight.append((worker, task_id))
+            try:
+                own = self._lane.predict_proba_tensor(own_shard)
+            except Exception:
+                # the workers' replies must not outlive this call
+                self._recover_in_flight(in_flight)
+                raise
             gathered: List[np.ndarray] = []
             for position, (worker, task_id) in enumerate(in_flight):
                 pending = in_flight[position + 1:]
@@ -383,6 +415,7 @@ class InferenceWorkerPool:
                 raise WorkerPoolError(
                     f"out-of-sync {reply[0]!r} reply from worker; discarded it"
                 )
+            gathered.append(own)
             return np.concatenate(gathered)
         finally:
             self._dispatching = False
@@ -495,6 +528,7 @@ class InferenceWorkerPool:
         self._workers = []
         self._retire_segment()
         self._export = None
+        self._lane = None
         try:
             atexit.unregister(self.close)
         except Exception:

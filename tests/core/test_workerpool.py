@@ -61,10 +61,157 @@ class TestShardedEquivalence:
         assert result.shape == (0,)
         assert result.dtype == np.float32
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bitwise_equal_to_fast_path(self, untrained_classifier, workers):
+        # 0 through 2N + 1 frames over N + 1 lanes: empty, fewer frames
+        # than lanes, and up to two frames per lane
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            for count in range(2 * workers + 2):
+                batch = _nchw_batch(untrained_classifier, count, seed=count)
+                sharded = pool.predict_proba(batch)
+                serial = untrained_classifier.predict_proba_tensor(batch)
+                assert sharded.dtype == np.float32
+                assert sharded.shape == (count,)
+                assert np.array_equal(sharded, serial), count
+
     def test_republish_same_weights_is_noop(self, pool, untrained_classifier):
         first = pool.published_fingerprint
         assert pool.publish(untrained_classifier) == first
         assert pool.published_fingerprint == first
+
+
+class TestParentLane:
+    """The parent computes the last of N + 1 shards while the N
+    workers compute theirs, from the same published bytes."""
+
+    def test_worker_death_while_parent_computes_falls_back_once(
+        self, untrained_classifier
+    ):
+        pool = InferenceWorkerPool(num_workers=1, timeout_s=10.0)
+        try:
+            pool.publish(untrained_classifier)
+            lane = pool._lane
+            compute = lane.predict_proba_tensor
+            seen_dead = []
+
+            def wait_for_death_then_compute(batch):
+                # the armed worker exits on its shard; hold the parent's
+                # shard until it has, so the death lands mid-compute
+                victim = pool._workers[0].process
+                victim.join(timeout=5.0)
+                seen_dead.append(not victim.is_alive())
+                return compute(batch)
+
+            lane.predict_proba_tensor = wait_for_death_then_compute
+            blocker = PercivalBlocker(
+                untrained_classifier,
+                calibrated_latency_ms=1.0,
+                pool=pool,
+                shard_min_batch=4,
+            )
+            reference = PercivalBlocker(untrained_classifier, calibrated_latency_ms=1.0)
+            assert pool.chaos_arm_worker_death(0)
+            bitmaps = _bitmaps(8)
+            decisions = blocker.decide_many(bitmaps)
+            assert seen_dead == [True]
+            assert blocker.pool_fallbacks == 1
+            assert [d.probability for d in decisions] == [
+                e.probability for e in reference.decide_many(bitmaps)
+            ]
+            lane.predict_proba_tensor = compute
+            # the next call respawns the worker and runs clean
+            fresh = _bitmaps(8, seed=11)
+            decisions = blocker.decide_many(fresh)
+            assert blocker.pool_fallbacks == 1
+            assert pool.respawns == 1
+            assert pool.alive_workers == 1
+            assert [d.probability for d in decisions] == [
+                e.probability for e in reference.decide_many(fresh)
+            ]
+        finally:
+            pool.close()
+
+    def test_capacity_counts_workers_only(self, pool, untrained_classifier):
+        lane = pool._lane
+        compute = lane.predict_proba_tensor
+        during = []
+
+        def spy(batch):
+            during.append((pool.dispatching, pool.available_capacity))
+            return compute(batch)
+
+        lane.predict_proba_tensor = spy
+        assert pool.available_capacity == pool.num_workers == 2
+        pool.predict_proba(_nchw_batch(untrained_classifier, 9))
+        assert during == [(True, 0)]
+        assert pool.available_capacity == 2
+        assert not pool.dispatching
+
+    def test_lane_error_drains_workers_before_propagating(
+        self, pool, untrained_classifier
+    ):
+        lane = pool._lane
+        compute = lane.predict_proba_tensor
+
+        def broken(batch):
+            raise MemoryError("parent lane out of memory")
+
+        lane.predict_proba_tensor = broken
+        batch = _nchw_batch(untrained_classifier, 9)
+        with pytest.raises(MemoryError):
+            pool.predict_proba(batch)
+        assert not pool.dispatching
+        lane.predict_proba_tensor = compute
+        # the workers' replies were drained: the next gather is in sync
+        assert np.array_equal(
+            pool.predict_proba(batch),
+            untrained_classifier.predict_proba_tensor(batch),
+        )
+        assert pool.alive_workers == 2
+        assert pool.respawns == 0
+
+    def _loaded_pair(self, tmp_path):
+        """A classifier and the batch it scores, plus donor weights on
+        disk that score that batch differently."""
+        classifier = AdClassifier(PercivalConfig())
+        donor = AdClassifier(PercivalConfig(seed=5))
+        path = str(tmp_path / "donor.npz")
+        donor.save(path)
+        batch = _nchw_batch(classifier, 9)
+        assert not np.array_equal(
+            classifier.predict_proba_tensor(batch),
+            donor.predict_proba_tensor(batch),
+        )
+        return classifier, path, batch
+
+    def test_publish_after_load_moves_every_lane(self, tmp_path):
+        classifier, path, batch = self._loaded_pair(tmp_path)
+        with InferenceWorkerPool(num_workers=2) as pool:
+            pool.publish(classifier)
+            stale_lane = pool._lane
+            classifier.load(path)
+            pool.publish(classifier)
+            assert pool._lane is not stale_lane
+            # 9 frames over 3 lanes: every lane scores three of them
+            assert np.array_equal(
+                pool.predict_proba(batch), classifier.predict_proba_tensor(batch)
+            )
+
+    def test_load_without_publish_mixes_no_weights(self, tmp_path):
+        classifier, path, batch = self._loaded_pair(tmp_path)
+        published = classifier.predict_proba_tensor(batch)
+        with InferenceWorkerPool(num_workers=2) as pool:
+            pool.publish(classifier)
+            classifier.load(path)
+            assert np.array_equal(pool.predict_proba(batch), published)
+
+    def test_close_drops_the_lane(self, untrained_classifier):
+        pool = InferenceWorkerPool(num_workers=1)
+        pool.publish(untrained_classifier)
+        assert pool._lane is not None
+        pool.close()
+        assert pool._lane is None
 
 
 class TestFailureModes:
