@@ -91,12 +91,13 @@ def bench_record(
     """Record one benchmark's metrics under a stable name.
 
     ``bench_record("serving_multilane", speedup=1.7, sheds=0)`` — values
-    must be JSON-serializable scalars/lists; re-recording a name within
-    a session overwrites it (last run wins, matching pytest rerun
-    semantics).
+    must be JSON-serializable scalars/lists.  Metrics recorded under one
+    name merge, so two tests can share a record; re-recording a metric
+    within a session overwrites it (last run wins, matching pytest
+    rerun semantics).
     """
 
     def _record(name: str, **metrics) -> None:
-        _bench_json_records[name] = metrics
+        _bench_json_records.setdefault(name, {}).update(metrics)
 
     return _record

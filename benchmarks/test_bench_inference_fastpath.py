@@ -8,6 +8,8 @@ layer-by-layer path, while matching its probabilities within 1e-5.
 
 Marked ``bench_smoke`` so ``scripts/bench_smoke.sh`` can run it alone
 in seconds; ``PERCIVAL_BENCH_ROUNDS`` trims the timing repeats further.
+Both ratios are recorded as ``inference_fastpath.*`` in
+``BENCH_serving.json``, where the baseline diff gates them.
 """
 
 import os
@@ -23,7 +25,9 @@ ROUNDS = int(os.environ.get("PERCIVAL_BENCH_ROUNDS", "30"))
 
 
 @pytest.mark.bench_smoke
-def test_inference_fastpath(benchmark, reference_classifier, report_table):
+def test_inference_fastpath(
+    benchmark, reference_classifier, report_table, bench_record
+):
     classifier = reference_classifier
     network = classifier.network
     plan = classifier.inference_plan
@@ -91,6 +95,11 @@ def test_inference_fastpath(benchmark, reference_classifier, report_table):
     benchmark.extra_info["single_speedup"] = single_speedup
     benchmark.extra_info["batch_speedup"] = batch_speedup
     benchmark.extra_info["max_prob_delta"] = max_delta
+    bench_record(
+        "inference_fastpath",
+        single_speedup=single_speedup,
+        batch_speedup=batch_speedup,
+    )
 
     assert single_speedup >= 2.0
     assert batch_speedup >= 4.0

@@ -16,7 +16,10 @@ claims on the trained reference model:
   and the PR 2 sharded path bit for bit (1e-7 equivalence).
 
 Marked ``bench_smoke`` so ``scripts/bench_smoke.sh`` runs it in
-seconds; ``PERCIVAL_BENCH_ROUNDS`` trims the timing repeats.
+seconds; ``PERCIVAL_BENCH_ROUNDS`` trims the timing repeats.  Both
+ratios are recorded as ``quantized_plans.*`` in ``BENCH_serving.json``
+(trend-reported by the baseline diff, which gates only ``speedup``
+names).
 """
 
 import os
@@ -43,7 +46,9 @@ def _pinned(reference_classifier, precision):
 
 
 @pytest.mark.bench_smoke
-def test_quantized_plans(benchmark, reference_classifier, report_table):
+def test_quantized_plans(
+    benchmark, reference_classifier, report_table, bench_record
+):
     fp32 = _pinned(reference_classifier, "fp32")
     int8 = _pinned(reference_classifier, "int8")
     assert int8.effective_precision == "int8", (
@@ -113,6 +118,11 @@ def test_quantized_plans(benchmark, reference_classifier, report_table):
     benchmark.extra_info["size_ratio"] = size_ratio
     benchmark.extra_info["calibration_drift"] = drift
     benchmark.extra_info["throughput_ratio"] = throughput_ratio
+    bench_record(
+        "quantized_plans",
+        throughput_ratio=throughput_ratio,
+        size_ratio=size_ratio,
+    )
 
 
 @pytest.mark.bench_smoke

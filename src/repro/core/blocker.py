@@ -17,14 +17,17 @@ Three hot-path refinements over the naive per-frame loop:
   serve memo hits, classify the unique misses in **one** NCHW forward
   through the classifier's compiled fast path, then fill the memo, and
 * a blocker holding an :class:`~repro.core.workerpool.InferenceWorkerPool`
-  handle shards large memo-miss batches across worker processes
-  (scatter/gather of sub-batches; weights shipped once via shared
-  memory), with the calling thread computing the last shard as lane
-  N + 1 while the workers run — so the pool call is the critical-path
-  compute, not a wait on the pipes.  Batches under ``shard_min_batch``,
-  pool failures, and pool-less blockers all run the single-process
-  fast path — sharding can only change *where* a probability is
-  computed, never its value.
+  handle hands large memo-miss batches to the pool as raw bitmaps
+  (:meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`):
+  every lane preprocesses and scores its own share — the workers read
+  theirs from a shared-memory frame segment, weights ride a second
+  segment published once — and the calling thread computes the last
+  share as lane N + 1 while the workers run, so neither preprocessing
+  nor the forward pass waits serially in the parent.  Batches under
+  ``shard_min_batch``, pool failures, and pool-less blockers all
+  preprocess in-process and run the single-process fast path —
+  sharding can only change *where* a probability is computed, never
+  its value.
 
 Memoized verdicts are generation-keyed on the classifier's
 ``weights_version``: a ``load()``/``train()`` (which also covers a
@@ -72,7 +75,7 @@ class PercivalBlocker:
         self.classifier = classifier
         #: worker pool for sharded batch inference (None = in-process).
         #: Duck-typed: anything with ``closed``/``published_fingerprint``
-        #: /``publish``/``predict_proba`` works — tests inject stubs.
+        #: /``publish``/``ad_probabilities`` works — tests inject stubs.
         self.pool = pool
         if shard_min_batch is None:
             shard_min_batch = classifier.config.shard_min_batch
@@ -209,38 +212,40 @@ class PercivalBlocker:
                 misses.setdefault(key, []).append(index)
         if misses:
             fresh = [bitmaps[indices[0]] for indices in misses.values()]
-            batch = preprocess_batch(fresh, self.classifier.config.input_size)
-            probabilities = self._miss_probabilities(batch)
+            probabilities = self._miss_probabilities(fresh)
             for key, probability in zip(misses, probabilities):
                 decision = self._record(key, float(probability))
                 for index in misses[key]:
                     decisions[index] = decision
         return decisions  # type: ignore[return-value]
 
-    def _miss_probabilities(self, batch: np.ndarray) -> np.ndarray:
-        """P(ad) for the memo-miss batch: sharded when it pays off.
+    def _miss_probabilities(self, bitmaps: List[np.ndarray]) -> np.ndarray:
+        """P(ad) for the memo-miss bitmaps: sharded when it pays off.
 
-        Routes through the worker pool when one is attached, open, and
-        the batch is at least ``shard_min_batch`` frames.  Weight
+        Routes the raw bitmaps through the worker pool when one is
+        attached, open, and the batch is at least ``shard_min_batch``
+        frames; the pool's lanes preprocess their own shares.  Weight
         staleness is fingerprint-checked (both sides cache the digest,
         so the check is a string compare) and fixed by re-publishing.
         Any pool failure — worker death mid-batch, failed publication —
-        degrades to the in-process fast path, so a dying pool can slow
-        a page down but never change or drop a verdict.
+        degrades to in-process preprocessing and the fast path, so a
+        dying pool can slow a page down but never change or drop a
+        verdict.
         """
         pool = self.pool
         if (
             pool is not None
             and not pool.closed
-            and batch.shape[0] >= self.shard_min_batch
+            and len(bitmaps) >= self.shard_min_batch
         ):
             try:
                 fingerprint = self.classifier.weights_fingerprint()
                 if pool.published_fingerprint != fingerprint:
                     pool.publish(self.classifier)
-                return pool.predict_proba(batch)
+                return pool.ad_probabilities(bitmaps)
             except WorkerPoolError:
                 self.pool_fallbacks += 1
+        batch = preprocess_batch(bitmaps, self.classifier.config.input_size)
         return self.classifier.predict_proba_tensor(batch)
 
     def _record(self, key: str, probability: float) -> BlockDecision:

@@ -3,11 +3,23 @@
 :class:`InferenceWorkerPool` owns N worker processes that each hold a
 private copy of the model and a compiled
 :class:`~repro.nn.inference.InferencePlan`.  The parent splits a
-memo-miss batch into N + 1 equal sub-batches, scatters the first N over
-pipes, computes the last one itself while the workers run, and gathers
-per-frame ad probabilities back in order — so a page's batched forward
-pass scales with cores instead of saturating one GIL, and the parent's
-core works instead of idling on the pipes.
+memo-miss batch into N + 1 contiguous shares, scatters the first N to
+the workers, computes the last one itself while the workers run, and
+gathers per-frame ad probabilities back in order — so a page's batched
+forward pass scales with cores instead of saturating one GIL, and the
+parent's core works instead of idling on the pipes.
+
+Two entry points share that one scatter/gather/drain loop:
+
+* :meth:`InferenceWorkerPool.ad_probabilities` takes raw decoded
+  bitmaps, and every lane preprocesses its own share (the blocker's
+  path).  The workers' shares travel through a pool-owned **frame
+  segment** (``multiprocessing.shared_memory``): the parent copies the
+  bitmaps in and sends each worker only ``(offset, shape, dtype)`` per
+  frame, which is cheaper than pickling either the bitmaps or the
+  tensors they become.
+* :meth:`InferenceWorkerPool.predict_proba` takes an already
+  preprocessed NCHW batch and pickles each worker's slice of it.
 
 The parent is lane N + 1, but not a worker: its lane is a classifier
 rebuilt at ``publish()`` from the published export and segment bytes by
@@ -46,6 +58,18 @@ Weight handoff is the part worth reading twice:
   worker recompiles its plan, and the parent rebuilds its lane.  A pool
   can therefore never mix precisions across a publication.
 
+The frame segment has its own lifecycle.  It is created on the first
+bitmap scatter, grown by doubling (the old one unlinked) when the
+workers' shares do not fit, never shrunk, and released by ``close()``.
+A worker keeps it attached between calls and re-attaches when its name
+changes; it reads its frames through views that it drops before it
+replies, so its ``SharedMemory.close()`` can never raise
+``BufferError``.  The parent writes the segment only when no reply is
+outstanding: every exit path of a call drains or discards the
+in-flight workers, and a call that arrives while another is in flight
+raises :class:`WorkerPoolError` instead of overwriting frames a worker
+may still be reading.
+
 Failure semantics: any worker death or timeout surfaces as
 :class:`WorkerPoolError`, which callers (``PercivalBlocker``) treat as
 "fall back to in-process inference" — a dying pool can slow a page
@@ -76,11 +100,12 @@ import multiprocessing as mp
 import time
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.classifier import AdClassifier, PlanExport
+from repro.core.preprocessing import preprocess_batch
 
 
 class WorkerPoolError(RuntimeError):
@@ -88,6 +113,14 @@ class WorkerPoolError(RuntimeError):
 
 
 _DEFAULT_TIMEOUT_S = 60.0
+
+#: frame offsets in the frame segment are multiples of this (a cache line)
+_FRAME_ALIGN = 64
+
+#: one frame's place in the frame segment: (offset, shape, dtype string)
+FrameSlot = Tuple[int, Tuple[int, ...], str]
+
+_Items = TypeVar("_Items", np.ndarray, list)
 
 
 def _preferred_context() -> mp.context.BaseContext:
@@ -101,22 +134,41 @@ def _preferred_context() -> mp.context.BaseContext:
         return mp.get_context("spawn")
 
 
+def _read_frames(
+    segment: shared_memory.SharedMemory,
+    layout: Sequence[FrameSlot],
+    input_size: int,
+) -> np.ndarray:
+    """Preprocess the frames ``layout`` places in ``segment`` into an
+    NCHW batch.  The views into the segment die with this call, so the
+    segment is never pinned past it."""
+    views = [
+        np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
+        for offset, shape, dtype in layout
+    ]
+    return preprocess_batch(views, input_size)
+
+
 def _worker_main(conn: Connection) -> None:
-    """Worker loop: (re)build the plan on ``plan``, score on ``run``.
+    """Worker loop: (re)build the plan on ``plan``, score on ``run``
+    (a pickled NCHW batch) and ``frames`` (bitmaps in the frame segment).
 
     Replies: ``("ready", fingerprint)`` after a successful plan build,
     ``("result", task_id, probabilities)`` per sub-batch, and
     ``("error", detail)`` / ``("error", task_id, detail)`` on failure —
-    the worker survives a failed request and keeps serving.
+    the worker survives a failed request and keeps serving.  A
+    ``frames`` request names the frame segment; the worker re-attaches
+    when the name changes, and holds no view into it once it replies.
 
     Chaos commands (armed by the parent's ``chaos_*`` methods) fire on
-    the *next* ``run`` so the fault lands mid-batch: ``chaos-die-on-run``
-    exits without replying (the parent gathers an EOF),
-    ``chaos-stall-on-run`` sleeps past the pool timeout first, and
+    the *next* sub-batch so the fault lands mid-batch:
+    ``chaos-die-on-run`` exits without replying (the parent gathers an
+    EOF), ``chaos-stall-on-run`` sleeps past the pool timeout first, and
     ``chaos-echo`` emits an unsolicited reply immediately (the parent's
     next gather goes out-of-sync and discards this worker's pipe).
     """
     classifier: Optional[AdClassifier] = None
+    frames: Optional[shared_memory.SharedMemory] = None
     die_on_run = False
     stall_on_run_s = 0.0
     while True:
@@ -146,8 +198,8 @@ def _worker_main(conn: Connection) -> None:
             except Exception as exc:
                 classifier = None
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        elif kind == "run":
-            _, task_id, batch = message
+        elif kind in ("run", "frames"):
+            task_id = message[1]
             if die_on_run:
                 break
             if stall_on_run_s > 0.0:
@@ -157,16 +209,60 @@ def _worker_main(conn: Connection) -> None:
                 conn.send(("error", task_id, "no published weights"))
                 continue
             try:
-                probabilities = classifier.predict_proba_tensor(batch)
-                conn.send(("result", task_id, probabilities))
+                if kind == "frames":
+                    _, _, segment_name, layout = message
+                    if frames is None or frames.name != segment_name:
+                        if frames is not None:
+                            frames.close()
+                            frames = None
+                        frames = shared_memory.SharedMemory(name=segment_name)
+                    batch = _read_frames(
+                        frames, layout, classifier.config.input_size
+                    )
+                else:
+                    batch = message[2]
+                reply = ("result", task_id, classifier.predict_proba_tensor(batch))
             except Exception as exc:
-                conn.send(("error", task_id, f"{type(exc).__name__}: {exc}"))
+                reply = ("error", task_id, f"{type(exc).__name__}: {exc}")
+            # sent outside the handler: a failed read's traceback (and
+            # any segment view it holds) is gone before the parent may
+            # write the segment again
+            conn.send(reply)
         elif kind == "stop":
             break
+    if frames is not None:
+        frames.close()
     try:
         conn.close()
     except OSError:
         pass
+
+
+def _split(items: _Items, parts: int) -> List[_Items]:
+    """``parts`` contiguous slices of ``items``, with ``np.array_split``'s
+    bounds (the first ``len % parts`` slices one item longer).  Works
+    on a list of ragged bitmaps, which ``np.array_split`` would try to
+    stack."""
+    base, extra = divmod(len(items), parts)
+    shares, start = [], 0
+    for index in range(parts):
+        stop = start + base + (index < extra)
+        shares.append(items[start:stop])
+        start = stop
+    return shares
+
+
+def _unlink(segment: Optional[shared_memory.SharedMemory]) -> None:
+    """Close and unlink a parent-owned segment (``None`` is a no-op)."""
+    if segment is None:
+        return
+    try:
+        segment.close()
+    finally:
+        try:
+            segment.unlink()
+        except FileNotFoundError:
+            pass
 
 
 class _Worker:
@@ -210,6 +306,9 @@ class InferenceWorkerPool:
         self._ctx = _preferred_context()
         self._workers: List[_Worker] = []
         self._segment: Optional[shared_memory.SharedMemory] = None
+        #: the workers' shares of a bitmap batch; created on the first
+        #: bitmap scatter, grown by doubling, released by close()
+        self._frames: Optional[shared_memory.SharedMemory] = None
         self._export: Optional[PlanExport] = None
         #: the parent's lane: the published export, rebuilt in-process
         self._lane: Optional[AdClassifier] = None
@@ -274,9 +373,9 @@ class InferenceWorkerPool:
         queueing behind anything.
 
         ``0`` when the pool is closed, has no published weights, or is
-        mid-``predict_proba`` (the parent computes its own shard and
-        then gathers synchronously, so a concurrent caller would
-        serialize behind the in-flight batch); otherwise the full
+        mid-call (the parent computes its own shard and then gathers
+        synchronously, and a concurrent call is refused with
+        :class:`WorkerPoolError`); otherwise the full
         worker count — dead workers are respawned at call entry, so
         they still count as capacity.  The parent's lane is not
         counted: it is the calling thread, busy for the whole call, so
@@ -333,7 +432,7 @@ class InferenceWorkerPool:
                 raise WorkerPoolError(
                     f"could not publish weights: {exc}"
                 ) from exc
-            self._retire_segment()
+            _unlink(self._segment)
             self._segment = segment
             self._export = export
             self._lane = lane
@@ -350,56 +449,99 @@ class InferenceWorkerPool:
         """P(ad) for a preprocessed NCHW batch, sharded across the
         workers and the parent.
 
-        Sub-batches are contiguous ``array_split`` slices, one per live
-        worker plus a last one the parent computes while the workers
-        run, gathered in split order, so the result aligns one-to-one
-        with ``batch``.  Raises :class:`WorkerPoolError` on worker death
-        or timeout — never a silently wrong probability.  On any
-        failure, the parent's lane included, workers still holding an
-        in-flight reply are drained (or discarded when they cannot be),
-        so one bad batch never poisons the pipes for the next call.
+        Each worker's slice of ``batch`` is pickled to it; see
+        :meth:`ad_probabilities` for the raw-bitmap path, which shares
+        this call's scatter, gather and failure handling.
+        """
+        return self._scatter_gather(
+            batch,
+            lambda shares: [("run", share) for share in shares],
+            lambda share: self._lane.predict_proba_tensor(share),
+        )
+
+    def ad_probabilities(self, bitmaps: Sequence[np.ndarray]) -> np.ndarray:
+        """P(ad) for raw decoded bitmaps, each lane preprocessing its
+        own share.
+
+        The workers' shares are copied into the frame segment and each
+        worker is sent only where its frames lie; the parent
+        preprocesses its own share in place.  Every lane runs the same
+        ``preprocess_batch`` and plan over the same shares as
+        :meth:`predict_proba` over the preprocessed batch, so the
+        probabilities are bitwise equal to it.
+        """
+        return self._scatter_gather(
+            list(bitmaps), self._frame_messages, self._lane_frames
+        )
+
+    def _scatter_gather(
+        self,
+        items: _Items,
+        worker_messages: Callable[[List[_Items]], List[tuple]],
+        own_probabilities: Callable[[_Items], np.ndarray],
+    ) -> np.ndarray:
+        """The one scatter/gather/drain loop behind both entry points.
+
+        ``items`` is cut into contiguous shares with ``np.array_split``'s
+        bounds, one per live worker plus a last one the parent computes
+        (``own_probabilities``) while the workers run.
+        ``worker_messages`` turns the non-empty worker shares into one
+        ``(kind, *payload)`` request each; results are gathered in split
+        order, so they align one-to-one with ``items``.  Raises
+        :class:`WorkerPoolError` on worker death or timeout — never a
+        silently wrong probability — and when another call is already
+        in flight.  On any failure, the parent's lane included, workers
+        still holding an in-flight reply are drained (or discarded when
+        they cannot be), so one bad batch never poisons the pipes, or
+        the frame segment, for the next call.
         """
         self._ensure_open()
         if self._export is None:
             raise WorkerPoolError("no weights published; call publish()")
-        if batch.shape[0] == 0:
+        if self._dispatching:
+            # its workers may still be reading the frame segment
+            raise WorkerPoolError("a batch is already in flight on this pool")
+        if not len(items):
             return np.empty(0, dtype=np.float32)
         self._dispatching = True
         try:
             self._sync_workers()
             # split across the workers actually alive — a pool running
             # degraded (deferred/exhausted respawns) still covers the
-            # whole batch, just across fewer processes — plus the parent
-            *shards, own_shard = np.array_split(batch, len(self._workers) + 1)
-            in_flight: List[Tuple[_Worker, int]] = []
-            for worker, shard in zip(self._workers, shards):
-                if not shard.shape[0]:
-                    break
+            # whole batch, just across fewer processes — plus the parent;
+            # the first shares are the longer ones, so only trailing
+            # worker shares can be empty
+            *shares, own_share = _split(items, len(self._workers) + 1)
+            messages = worker_messages([share for share in shares if len(share)])
+            in_flight: List[_Worker] = []
+            task_ids: List[int] = []
+            for worker, (kind, *payload) in zip(self._workers, messages):
                 self._task_counter += 1
                 task_id = self._task_counter
                 try:
-                    worker.conn.send(("run", task_id, shard))
+                    worker.conn.send((kind, task_id, *payload))
                 except (BrokenPipeError, OSError) as exc:
-                    self._recover_in_flight(in_flight)
+                    self._drain(in_flight)
                     self._discard_worker(worker)
                     raise WorkerPoolError(
                         f"worker died during scatter: {exc}"
                     ) from exc
-                in_flight.append((worker, task_id))
+                in_flight.append(worker)
+                task_ids.append(task_id)
             try:
-                own = self._lane.predict_proba_tensor(own_shard)
+                own = own_probabilities(own_share)
             except Exception:
                 # the workers' replies must not outlive this call
-                self._recover_in_flight(in_flight)
+                self._drain(in_flight)
                 raise
             gathered: List[np.ndarray] = []
-            for position, (worker, task_id) in enumerate(in_flight):
+            for position, (worker, task_id) in enumerate(zip(in_flight, task_ids)):
                 pending = in_flight[position + 1:]
                 try:
                     reply = self._recv(worker)
                 except WorkerPoolError:
                     self._discard_worker(worker)
-                    self._recover_in_flight(pending)
+                    self._drain(pending)
                     raise
                 if reply[0] == "result" and reply[1] == task_id:
                     gathered.append(np.asarray(reply[2], dtype=np.float32))
@@ -407,11 +549,11 @@ class InferenceWorkerPool:
                 if reply[0] == "error" and len(reply) == 3 and reply[1] == task_id:
                     # clean failure: the worker consumed the task and its
                     # pipe stays in sync — only later workers need draining
-                    self._recover_in_flight(pending)
+                    self._drain(pending)
                     raise WorkerPoolError(f"worker failed mid-batch: {reply[2]}")
                 # out-of-sync reply: this worker's pipe cannot be trusted
                 self._discard_worker(worker)
-                self._recover_in_flight(pending)
+                self._drain(pending)
                 raise WorkerPoolError(
                     f"out-of-sync {reply[0]!r} reply from worker; discarded it"
                 )
@@ -419,6 +561,55 @@ class InferenceWorkerPool:
             return np.concatenate(gathered)
         finally:
             self._dispatching = False
+
+    def _frame_messages(self, shares: List[list]) -> List[tuple]:
+        """Copy the workers' bitmap shares into the frame segment; one
+        ``("frames", segment name, layout)`` request per share, where
+        the layout holds each frame's :data:`FrameSlot`."""
+        layouts: List[List[FrameSlot]] = []
+        end = 0
+        for share in shares:
+            layout: List[FrameSlot] = []
+            for bitmap in share:
+                layout.append((end, bitmap.shape, bitmap.dtype.str))
+                end += -(-bitmap.nbytes // _FRAME_ALIGN) * _FRAME_ALIGN
+            layouts.append(layout)
+        segment = self._frame_segment(end)
+        for share, layout in zip(shares, layouts):
+            for bitmap, (offset, shape, dtype) in zip(share, layout):
+                np.ndarray(
+                    shape, dtype=dtype, buffer=segment.buf, offset=offset
+                )[...] = bitmap
+        return [("frames", segment.name, layout) for layout in layouts]
+
+    def _frame_segment(self, nbytes: int) -> shared_memory.SharedMemory:
+        """The frame segment, at least ``nbytes`` long.
+
+        Created on first use; when a batch does not fit, replaced by
+        one of twice the size (doubling until it fits) and the old one
+        unlinked — a worker still attached to it re-attaches by name on
+        its next request.  Never shrunk.  Only called with no reply
+        outstanding, so no worker is reading the segment it replaces.
+        """
+        frames = self._frames
+        if frames is not None and frames.size >= nbytes:
+            return frames
+        size = max(nbytes, 1) if frames is None else frames.size
+        while size < nbytes:
+            size *= 2
+        try:
+            grown = shared_memory.SharedMemory(create=True, size=size)
+        except OSError as exc:
+            # e.g. /dev/shm full: the caller falls back in-process
+            raise WorkerPoolError(f"could not create frame segment: {exc}") from exc
+        _unlink(frames)
+        self._frames = grown
+        return grown
+
+    def _lane_frames(self, bitmaps: list) -> np.ndarray:
+        """The parent's lane over its own share of raw bitmaps."""
+        tensors = preprocess_batch(bitmaps, self._lane.config.input_size)
+        return self._lane.predict_proba_tensor(tensors)
 
     # ------------------------------------------------------------------
     # Deterministic fault injection (the repro.resilience chaos plane)
@@ -507,7 +698,7 @@ class InferenceWorkerPool:
         return self.num_workers
 
     def close(self) -> None:
-        """Stop workers and release the shared segment.  Idempotent."""
+        """Stop workers and release both shared segments.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -526,7 +717,9 @@ class InferenceWorkerPool:
             except OSError:
                 pass
         self._workers = []
-        self._retire_segment()
+        _unlink(self._segment)
+        _unlink(self._frames)
+        self._segment = self._frames = None
         self._export = None
         self._lane = None
         try:
@@ -547,18 +740,6 @@ class InferenceWorkerPool:
     def _ensure_open(self) -> None:
         if self._closed:
             raise WorkerPoolError("worker pool is closed")
-
-    def _retire_segment(self) -> None:
-        if self._segment is None:
-            return
-        try:
-            self._segment.close()
-        finally:
-            try:
-                self._segment.unlink()
-            except FileNotFoundError:
-                pass
-            self._segment = None
 
     def _spawn(self) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
@@ -635,28 +816,47 @@ class InferenceWorkerPool:
             for worker in self._workers
             if worker.fingerprint != self._export.fingerprint
         ]
+        # as in a batch: on any failure, the stale workers still owing
+        # a reply are drained, so no "ready"/"error" is left in a pipe
+        # to desync the next call
+        sent: List[_Worker] = []
         for worker in stale:
             try:
                 worker.conn.send(("plan", self._export, self._segment.name))
             except (BrokenPipeError, OSError) as exc:
+                self._drain(sent)
+                self._discard_worker(worker)
                 raise WorkerPoolError(
                     f"worker died during weight publication: {exc}"
                 ) from exc
-        for worker in stale:
-            reply = self._recv(worker)
-            if reply[0] != "ready" or reply[1] != self._export.fingerprint:
-                raise WorkerPoolError(f"worker failed to build plan: {reply[-1]}")
-            worker.fingerprint = reply[1]
+            sent.append(worker)
+        for position, worker in enumerate(sent):
+            pending = sent[position + 1:]
+            try:
+                reply = self._recv(worker)
+            except WorkerPoolError:
+                self._discard_worker(worker)
+                self._drain(pending)
+                raise
+            if reply[0] == "ready" and reply[1] == self._export.fingerprint:
+                worker.fingerprint = reply[1]
+                continue
+            if reply[0] != "error":
+                # out-of-sync reply: this worker's pipe cannot be trusted
+                self._discard_worker(worker)
+            self._drain(pending)
+            raise WorkerPoolError(f"worker failed to build plan: {reply[-1]}")
 
-    def _recover_in_flight(self, pending: List[Tuple[_Worker, int]]) -> None:
-        """Leave no poisoned pipes behind after a failed batch.
+    def _drain(self, pending: Sequence[_Worker]) -> None:
+        """Leave no poisoned pipes behind after a failed call.
 
-        Each pending worker holds at most one outstanding reply; drain
-        it so the next ``predict_proba`` starts from clean pipes, and
-        discard any worker that cannot be drained within the timeout
-        (``_sync_workers`` respawns a replacement on the next call).
+        Each pending worker holds at most one outstanding reply (to a
+        sub-batch or a plan); drain it so the next call starts from
+        clean pipes, and discard any worker that cannot be drained
+        within the timeout (``_sync_workers`` respawns a replacement on
+        the next call).
         """
-        for worker, _task_id in pending:
+        for worker in pending:
             try:
                 if worker.conn.poll(self.timeout_s):
                     worker.conn.recv()

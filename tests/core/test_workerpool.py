@@ -6,6 +6,10 @@ knob (``PERCIVAL_WORKERS=0``) must all degrade to the single-process
 fast path with identical verdicts.
 """
 
+import multiprocessing as mp
+import os
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from repro.core import (
     PercivalConfig,
     WorkerPoolError,
     configured_worker_count,
+    preprocess_batch,
 )
 
 
@@ -29,6 +34,30 @@ def _nchw_batch(classifier, count, seed=0):
 def _bitmaps(count, seed=7):
     rng = np.random.default_rng(seed)
     return [rng.random((10, 12, 4)).astype(np.float32) for _ in range(count)]
+
+
+def _mixed_bitmaps(count, seed=3):
+    """Bitmaps of every shape the decode step hands over: RGBA and RGB,
+    float32 and float64, contiguous and strided views."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for index in range(count):
+        kind = index % 4
+        if kind == 0:
+            frame = rng.random((10 + index, 12, 4)).astype(np.float32)
+        elif kind == 1:
+            frame = rng.random((9, 14 + index, 3)).astype(np.float32)
+        elif kind == 2:
+            frame = rng.random((24, 20 + index, 4)).astype(np.float32)[::2, ::-1]
+            assert not frame.flags.c_contiguous
+        else:
+            frame = rng.random((16, 16, 4))  # float64
+        frames.append(frame)
+    return frames
+
+
+def _probabilities(decisions):
+    return [decision.probability for decision in decisions]
 
 
 @pytest.fixture()
@@ -214,6 +243,170 @@ class TestParentLane:
         assert pool._lane is None
 
 
+class TestBitmapPath:
+    """``ad_probabilities``: every lane preprocesses its own share, the
+    workers reading theirs from the pool's frame segment."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_bitwise_equal_to_poolless_decide_many(
+        self, untrained_classifier, workers
+    ):
+        size = untrained_classifier.config.input_size
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            pooled = PercivalBlocker(
+                untrained_classifier,
+                calibrated_latency_ms=1.0,
+                pool=pool,
+                shard_min_batch=1,
+            )
+            for count in range(2 * workers + 2):
+                bitmaps = _mixed_bitmaps(count, seed=count)
+                reference = PercivalBlocker(
+                    untrained_classifier, calibrated_latency_ms=1.0
+                )
+                assert _probabilities(pooled.decide_many(bitmaps)) == (
+                    _probabilities(reference.decide_many(bitmaps))
+                ), count
+                # the tensor path over the parent-preprocessed batch
+                # shards the same way, so it agrees bit for bit too
+                direct = pool.ad_probabilities(bitmaps)
+                assert direct.dtype == np.float32
+                assert direct.shape == (count,)
+                assert np.array_equal(
+                    direct, pool.predict_proba(preprocess_batch(bitmaps, size))
+                ), count
+            assert pooled.pool_fallbacks == 0
+            assert pool._frames is not None
+
+    def test_segment_grows_by_doubling_and_never_shrinks(
+        self, untrained_classifier
+    ):
+        rng = np.random.default_rng(0)
+
+        def frames(count, side):
+            return [
+                rng.random((side, side, 4)).astype(np.float32)
+                for _ in range(count)
+            ]
+
+        def check(bitmaps):
+            expected = untrained_classifier.ad_probabilities(bitmaps)
+            assert np.array_equal(pool.ad_probabilities(bitmaps), expected)
+
+        with InferenceWorkerPool(num_workers=1) as pool:
+            pool.publish(untrained_classifier)
+            assert pool._frames is None  # created lazily
+            check(frames(4, 8))
+            first = pool._frames
+            first_name, first_size = first.name, first.size
+            # the worker's two frames no longer fit: the segment doubles
+            # until they do, and the old one is unlinked
+            check(frames(4, 40))
+            grown = pool._frames
+            assert grown.name != first_name
+            ratio = grown.size // first_size
+            assert grown.size == ratio * first_size
+            assert ratio >= 2 and ratio & (ratio - 1) == 0
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=first_name)
+            # a smaller batch reuses the grown segment
+            check(frames(4, 8))
+            assert pool._frames is grown
+            assert pool.respawns == 0
+
+    def test_segment_creation_failure_falls_back(
+        self, untrained_classifier, monkeypatch
+    ):
+        from repro.core import workerpool
+
+        def no_space(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        with InferenceWorkerPool(num_workers=1) as pool:
+            pool.publish(untrained_classifier)
+            blocker = PercivalBlocker(
+                untrained_classifier,
+                calibrated_latency_ms=1.0,
+                pool=pool,
+                shard_min_batch=1,
+            )
+            reference = PercivalBlocker(
+                untrained_classifier, calibrated_latency_ms=1.0
+            )
+            bitmaps = _mixed_bitmaps(4)
+            with monkeypatch.context() as patched:
+                patched.setattr(workerpool.shared_memory, "SharedMemory", no_space)
+                decisions = blocker.decide_many(bitmaps)
+            assert blocker.pool_fallbacks == 1
+            assert not pool.dispatching
+            assert _probabilities(decisions) == _probabilities(
+                reference.decide_many(bitmaps)
+            )
+
+    @pytest.mark.parametrize("fault", ["death", "stall", "corrupt"])
+    def test_chaos_during_bitmap_scatter_falls_back_once(
+        self, untrained_classifier, fault
+    ):
+        with InferenceWorkerPool(num_workers=2, timeout_s=1.0) as pool:
+            pool.publish(untrained_classifier)
+            blocker = PercivalBlocker(
+                untrained_classifier,
+                calibrated_latency_ms=1.0,
+                pool=pool,
+                shard_min_batch=4,
+            )
+            reference = PercivalBlocker(
+                untrained_classifier, calibrated_latency_ms=1.0
+            )
+            armed = {
+                "death": pool.chaos_arm_worker_death,
+                "stall": pool.chaos_arm_worker_stall,
+                "corrupt": pool.chaos_corrupt_pipe,
+            }[fault](0)
+            assert armed
+            bitmaps = _mixed_bitmaps(8, seed=1)
+            decisions = blocker.decide_many(bitmaps)
+            assert blocker.pool_fallbacks == 1
+            assert _probabilities(decisions) == _probabilities(
+                reference.decide_many(bitmaps)
+            )
+            # the faulted worker is replaced and the next call is clean
+            fresh = _mixed_bitmaps(8, seed=2)
+            decisions = blocker.decide_many(fresh)
+            assert blocker.pool_fallbacks == 1
+            assert pool.alive_workers == 2
+            assert _probabilities(decisions) == _probabilities(
+                reference.decide_many(fresh)
+            )
+
+    def test_call_while_dispatching_raises(self, pool, untrained_classifier):
+        """A call arriving mid-dispatch must not overwrite the frames a
+        worker may still be reading."""
+        bitmaps = _mixed_bitmaps(9)
+        lane = pool._lane
+        compute = lane.predict_proba_tensor
+        refused = []
+
+        def reenter(batch):
+            segment = pool._frames.name
+            for call in (
+                lambda: pool.ad_probabilities(_mixed_bitmaps(9, seed=5)),
+                lambda: pool.predict_proba(batch),
+            ):
+                with pytest.raises(WorkerPoolError):
+                    call()
+                refused.append(pool.dispatching)
+            assert pool._frames.name == segment
+            return compute(batch)
+
+        lane.predict_proba_tensor = reenter
+        got = pool.ad_probabilities(bitmaps)
+        assert refused == [True, True]
+        assert not pool.dispatching
+        assert np.array_equal(got, untrained_classifier.ad_probabilities(bitmaps))
+
+
 class TestFailureModes:
     def test_dead_worker_is_respawned(self, pool, untrained_classifier):
         batch = _nchw_batch(untrained_classifier, 6)
@@ -314,6 +507,39 @@ class TestFailureModes:
         finally:
             pool.close()
 
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods(),
+        reason="workers must inherit the patched import",
+    )
+    def test_failed_publication_leaves_pipes_in_sync(
+        self, tmp_path, untrained_classifier, monkeypatch
+    ):
+        """Every stale worker's plan reply is read, even after the first
+        one fails, so none is left to desync the next call."""
+        flag = tmp_path / "weights-importable"
+        parent = os.getpid()
+        build = AdClassifier.from_plan_export.__func__
+
+        def worker_fails_until_flag(cls, export, buffer):
+            if os.getpid() != parent and not flag.exists():
+                raise RuntimeError("import failed")
+            return build(cls, export, buffer)
+
+        monkeypatch.setattr(
+            AdClassifier, "from_plan_export", classmethod(worker_fails_until_flag)
+        )
+        with InferenceWorkerPool(num_workers=2) as pool:
+            with pytest.raises(WorkerPoolError):
+                pool.publish(untrained_classifier)
+            flag.touch()
+            batch = _nchw_batch(untrained_classifier, 6)
+            assert np.array_equal(
+                pool.predict_proba(batch),
+                untrained_classifier.predict_proba_tensor(batch),
+            )
+            assert pool.respawns == 0
+            assert pool.alive_workers == 2
+
     def test_blocker_falls_back_on_closed_pool(self, untrained_classifier):
         pool = InferenceWorkerPool(num_workers=1)
         pool.publish(untrained_classifier)
@@ -338,6 +564,9 @@ class TestFailureModes:
 
             def predict_proba(self, batch):
                 raise AssertionError("predict_proba must not be called")
+
+            def ad_probabilities(self, bitmaps):
+                raise AssertionError("ad_probabilities must not be called")
 
         blocker = PercivalBlocker(
             untrained_classifier,
@@ -374,15 +603,15 @@ class TestTeardown:
         assert pool.closed
 
     def test_shared_segment_unlinked_on_close(self, untrained_classifier):
-        from multiprocessing import shared_memory
-
         pool = InferenceWorkerPool(num_workers=1)
         pool.publish(untrained_classifier)
-        name = pool._segment.name
+        pool.ad_probabilities(_bitmaps(4))
+        names = [pool._segment.name, pool._frames.name]
         pool.close()
-        assert pool._segment is None
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
+        assert pool._segment is None and pool._frames is None
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 class TestResize:

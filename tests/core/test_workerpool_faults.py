@@ -77,12 +77,12 @@ class _FailingPool:
     def publish(self, classifier):
         return self._pool.publish(classifier)
 
-    def predict_proba(self, batch):
+    def ad_probabilities(self, bitmaps):
         self.calls += 1
         if self.failures_left > 0:
             self.failures_left -= 1
             raise WorkerPoolError("injected mid-batch failure")
-        return self._pool.predict_proba(batch)
+        return self._pool.ad_probabilities(bitmaps)
 
 
 class TestWorkerDeathUnderServeLoop:
