@@ -31,7 +31,14 @@ fingerprinted, preprocessed and scored) against a pool-less one, with
 the same warm-up and median-of-ratios method and the same >= 1.05
 bound.  Pooled, every lane preprocesses its own share of the raw
 bitmaps, so the ratio covers preprocessing as well as the forward
-pass.  It is recorded as ``sharded_inference.decide_many_speedup``.
+pass.  The call passes no keys, so it takes the two-phase pool path:
+every lane also fingerprints its own share, and the ratio covers the
+hashing too.  It is recorded as
+``sharded_inference.decide_many_speedup``, next to
+``sharded_inference.parallel_efficiency``: pool-less time over pooled
+time times the lane count (workers + the parent), so 1.0 means every
+lane's core did a full share of useful work.  The efficiency is
+trend-reported by the baseline diff; the speedup gates.
 
 Marked ``bench_smoke`` so ``scripts/bench_smoke.sh`` runs it in
 seconds; ``PERCIVAL_BENCH_ROUNDS`` trims the timing repeats.
@@ -155,13 +162,20 @@ def test_sharded_decide_many(reference_classifier, report_table, bench_record):
     ]
 
     speedup = float(np.median(np.divide(serial_times, pooled_times)))
+    lanes = WORKERS + 1
+    efficiency = speedup / lanes
     rows = [
         ("cores / workers", "-", f"{CORES} / {WORKERS}"),
         ("pool-less decide_many (ms)", "-", float(np.median(serial_times))),
         ("pooled decide_many (ms)", "-", float(np.median(pooled_times))),
         ("decide_many speedup (x, per round)", ">= 1.05", speedup),
+        (f"parallel efficiency (speedup / {lanes} lanes)", "-", efficiency),
     ]
     title = f"Sharded decide_many (batch {BATCH}, {rounds} rounds)"
     report_table(paper_vs_measured(title, rows))
-    bench_record("sharded_inference", decide_many_speedup=speedup)
+    bench_record(
+        "sharded_inference",
+        decide_many_speedup=speedup,
+        parallel_efficiency=efficiency,
+    )
     assert speedup >= 1.05

@@ -17,17 +17,20 @@ Three hot-path refinements over the naive per-frame loop:
   serve memo hits, classify the unique misses in **one** NCHW forward
   through the classifier's compiled fast path, then fill the memo, and
 * a blocker holding an :class:`~repro.core.workerpool.InferenceWorkerPool`
-  handle hands large memo-miss batches to the pool as raw bitmaps
-  (:meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`):
-  every lane preprocesses and scores its own share — the workers read
-  theirs from a shared-memory frame segment, weights ride a second
-  segment published once — and the calling thread computes the last
-  share as lane N + 1 while the workers run, so neither preprocessing
-  nor the forward pass waits serially in the parent.  Batches under
-  ``shard_min_batch``, pool failures, and pool-less blockers all
-  preprocess in-process and run the single-process fast path —
-  sharding can only change *where* a probability is computed, never
-  its value.
+  handle hands large batches to the pool as raw bitmaps: every lane
+  works on its own share — the workers read theirs from a
+  shared-memory frame segment, weights ride a second segment published
+  once — and the calling thread computes the last share as lane N + 1
+  while the workers run, so neither preprocessing nor the forward pass
+  waits serially in the parent.  A keyed call sends its memo misses
+  (:meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`);
+  a keyless one sends the whole batch, and the lanes fingerprint it
+  too before scoring the misses in their shares
+  (:meth:`~repro.core.workerpool.InferenceWorkerPool.fingerprint_and_score`).
+  Batches under ``shard_min_batch``, pool failures, and pool-less
+  blockers all hash, preprocess and score in-process on the
+  single-process fast path — sharding can only change *where* a key or
+  a probability is computed, never its value.
 
 Memoized verdicts are generation-keyed on the classifier's
 ``weights_version``: a ``load()``/``train()`` (which also covers a
@@ -75,7 +78,8 @@ class PercivalBlocker:
         self.classifier = classifier
         #: worker pool for sharded batch inference (None = in-process).
         #: Duck-typed: anything with ``closed``/``published_fingerprint``
-        #: /``publish``/``ad_probabilities`` works — tests inject stubs.
+        #: /``publish``/``ad_probabilities``/``fingerprint_and_score``
+        #: works — tests inject stubs.
         self.pool = pool
         if shard_min_batch is None:
             shard_min_batch = classifier.config.shard_min_batch
@@ -190,14 +194,67 @@ class PercivalBlocker:
         the input share one classification (and one ``classifications``
         count); their decisions report ``from_cache=False`` because the
         verdict was computed during this call.
+
+        A keyless call that the pool would take anyway runs as one
+        two-phase pool call
+        (:meth:`~repro.core.workerpool.InferenceWorkerPool.fingerprint_and_score`):
+        every lane hashes its own share, the memo is probed here between
+        the phases, and every lane scores the unique misses in its own
+        share.  Keys, probabilities, ``from_cache``, ``classifications``
+        and the memo end up bitwise equal to the pool-less call.
         """
         self._check_memo_generation()
         bitmaps = list(bitmaps)
-        if keys is None:
-            keys = [self.fingerprint(bitmap) for bitmap in bitmaps]
-        elif len(keys) != len(bitmaps):
+        if keys is not None and len(keys) != len(bitmaps):
             raise ValueError("keys must align one-to-one with bitmaps")
-        decisions: List[Optional[BlockDecision]] = [None] * len(bitmaps)
+        # the memo probe, once the keys are known; the pool's select
+        # callback sets it between the phases, so a pool failure after
+        # the hashing phase keeps it
+        probe = None
+        probabilities = None
+        pooled = keys is None and self._pool_takes(len(bitmaps))
+        if pooled:
+
+            def select(pooled_keys: List[str]) -> Optional[List[int]]:
+                nonlocal probe
+                probe = self._probe(pooled_keys)
+                misses = probe[1]
+                if len(misses) < self.shard_min_batch:
+                    return None  # few enough to score in-process
+                return [indices[0] for indices in misses.values()]
+
+            try:
+                probabilities = self._published_pool().fingerprint_and_score(
+                    bitmaps, select
+                )
+            except WorkerPoolError:
+                self.pool_fallbacks += 1
+        if probe is None:
+            if keys is None:
+                keys = [self.fingerprint(bitmap) for bitmap in bitmaps]
+            probe = self._probe(keys)
+        decisions, misses = probe
+        if misses:
+            if probabilities is None:
+                # pool-less, keyed, too few misses, or a failed pool
+                # call (which must not be retried through the pool)
+                fresh = [bitmaps[indices[0]] for indices in misses.values()]
+                probabilities = (
+                    self._local_probabilities(fresh)
+                    if pooled
+                    else self._miss_probabilities(fresh)
+                )
+            for key, probability in zip(misses, probabilities):
+                decision = self._record(key, float(probability))
+                for index in misses[key]:
+                    decisions[index] = decision
+        return decisions  # type: ignore[return-value]
+
+    def _probe(self, keys: Sequence[str]) -> tuple:
+        """``(decisions, misses)`` for one call's keys: memo hits as
+        ``from_cache`` decisions (``None`` elsewhere), and the misses'
+        indices by key, in order of first occurrence."""
+        decisions: List[Optional[BlockDecision]] = [None] * len(keys)
         misses: "OrderedDict[str, List[int]]" = OrderedDict()
         for index, key in enumerate(keys):
             cached = self._memo.get(key)
@@ -210,41 +267,48 @@ class PercivalBlocker:
                 )
             else:
                 misses.setdefault(key, []).append(index)
-        if misses:
-            fresh = [bitmaps[indices[0]] for indices in misses.values()]
-            probabilities = self._miss_probabilities(fresh)
-            for key, probability in zip(misses, probabilities):
-                decision = self._record(key, float(probability))
-                for index in misses[key]:
-                    decisions[index] = decision
-        return decisions  # type: ignore[return-value]
+        return decisions, misses
+
+    def _pool_takes(self, count: int) -> bool:
+        """True when a batch of ``count`` frames goes to the pool: one
+        is attached and open, and the batch is at least
+        ``shard_min_batch`` frames."""
+        pool = self.pool
+        return (
+            pool is not None and not pool.closed and count >= self.shard_min_batch
+        )
+
+    def _published_pool(self) -> InferenceWorkerPool:
+        """The pool, holding the classifier's current weights.
+
+        Staleness is fingerprint-checked (both sides cache the digest,
+        so the check is a string compare) and fixed by re-publishing;
+        a failed publication raises :class:`WorkerPoolError`.
+        """
+        fingerprint = self.classifier.weights_fingerprint()
+        if self.pool.published_fingerprint != fingerprint:
+            self.pool.publish(self.classifier)
+        return self.pool
 
     def _miss_probabilities(self, bitmaps: List[np.ndarray]) -> np.ndarray:
         """P(ad) for the memo-miss bitmaps: sharded when it pays off.
 
-        Routes the raw bitmaps through the worker pool when one is
-        attached, open, and the batch is at least ``shard_min_batch``
-        frames; the pool's lanes preprocess their own shares.  Weight
-        staleness is fingerprint-checked (both sides cache the digest,
-        so the check is a string compare) and fixed by re-publishing.
-        Any pool failure — worker death mid-batch, failed publication —
-        degrades to in-process preprocessing and the fast path, so a
-        dying pool can slow a page down but never change or drop a
-        verdict.
+        Routes the raw bitmaps through the worker pool when
+        :meth:`_pool_takes` them; the pool's lanes preprocess their own
+        shares.  Any pool failure — worker death mid-batch, failed
+        publication — degrades to in-process preprocessing and the fast
+        path, so a dying pool can slow a page down but never change or
+        drop a verdict.
         """
-        pool = self.pool
-        if (
-            pool is not None
-            and not pool.closed
-            and len(bitmaps) >= self.shard_min_batch
-        ):
+        if self._pool_takes(len(bitmaps)):
             try:
-                fingerprint = self.classifier.weights_fingerprint()
-                if pool.published_fingerprint != fingerprint:
-                    pool.publish(self.classifier)
-                return pool.ad_probabilities(bitmaps)
+                return self._published_pool().ad_probabilities(bitmaps)
             except WorkerPoolError:
                 self.pool_fallbacks += 1
+        return self._local_probabilities(bitmaps)
+
+    def _local_probabilities(self, bitmaps: List[np.ndarray]) -> np.ndarray:
+        """P(ad) for ``bitmaps``, preprocessed and scored in-process."""
         batch = preprocess_batch(bitmaps, self.classifier.config.input_size)
         return self.classifier.predict_proba_tensor(batch)
 

@@ -9,15 +9,22 @@ gathers per-frame ad probabilities back in order — so a page's batched
 forward pass scales with cores instead of saturating one GIL, and the
 parent's core works instead of idling on the pipes.
 
-Two entry points share that one scatter/gather/drain loop:
+Three entry points share that one scatter/gather/drain loop:
 
 * :meth:`InferenceWorkerPool.ad_probabilities` takes raw decoded
   bitmaps, and every lane preprocesses its own share (the blocker's
-  path).  The workers' shares travel through a pool-owned **frame
-  segment** (``multiprocessing.shared_memory``): the parent copies the
-  bitmaps in and sends each worker only ``(offset, shape, dtype)`` per
-  frame, which is cheaper than pickling either the bitmaps or the
-  tensors they become.
+  keyed path).  The workers' shares travel through a pool-owned
+  **frame segment** (``multiprocessing.shared_memory``): the parent
+  copies the bitmaps in and sends each worker only
+  ``(offset, shape, dtype)`` per frame, which is cheaper than pickling
+  either the bitmaps or the tensors they become.
+* :meth:`InferenceWorkerPool.fingerprint_and_score` is the blocker's
+  keyless path, two phases over one copy of the frames.  Every lane
+  first hashes its own share into memo keys (the workers from the
+  frame segment); the caller's ``select`` then probes its memo with
+  the keys, and every lane scores the selected frames that lie in its
+  own share — the workers re-read theirs from the slots phase 1 left
+  in the segment, so nothing is copied twice.
 * :meth:`InferenceWorkerPool.predict_proba` takes an already
   preprocessed NCHW batch and pickles each worker's slice of it.
 
@@ -68,12 +75,16 @@ replies, so its ``SharedMemory.close()`` can never raise
 outstanding: every exit path of a call drains or discards the
 in-flight workers, and a call that arrives while another is in flight
 raises :class:`WorkerPoolError` instead of overwriting frames a worker
-may still be reading.
+may still be reading.  A two-phase call writes it once, before its
+first phase, and stays in flight (``dispatching``) across both, so the
+slots its second phase names still hold the frames the first hashed.
 
 Failure semantics: any worker death or timeout surfaces as
 :class:`WorkerPoolError`, which callers (``PercivalBlocker``) treat as
 "fall back to in-process inference" — a dying pool can slow a page
-down, never mis-classify it.  An exception in the parent's own lane
+down, never mis-classify it.  Both phases of a two-phase call run
+through the same loop, so a failure in either drains the same way and
+raises the same one error.  An exception in the parent's own lane
 propagates as raised, after the workers' in-flight replies are
 drained.  Dead workers are respawned on the next call, but not
 forever: replacements draw on a bounded **respawn
@@ -88,6 +99,7 @@ The ``chaos_*`` methods are the deterministic fault-injection surface
 the :mod:`repro.resilience` chaos plane drives: they *arm* a fault on
 a live worker (die/stall on its next sub-batch, emit an unsolicited
 reply, fail the next publication) so the failure lands mid-protocol,
+in whichever phase of a call asks the worker for work next,
 exactly where the recovery paths above must catch it.  They are inert
 unless called — a pool that never sees chaos runs the same bytes as
 before.
@@ -98,14 +110,16 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import time
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.core.classifier import AdClassifier, PlanExport
 from repro.core.preprocessing import preprocess_batch
+from repro.utils.hashing import image_fingerprint
 
 
 class WorkerPoolError(RuntimeError):
@@ -120,7 +134,7 @@ _FRAME_ALIGN = 64
 #: one frame's place in the frame segment: (offset, shape, dtype string)
 FrameSlot = Tuple[int, Tuple[int, ...], str]
 
-_Items = TypeVar("_Items", np.ndarray, list)
+_Items = TypeVar("_Items", np.ndarray, list, range)
 
 
 def _preferred_context() -> mp.context.BaseContext:
@@ -134,6 +148,16 @@ def _preferred_context() -> mp.context.BaseContext:
         return mp.get_context("spawn")
 
 
+def _views(
+    segment: shared_memory.SharedMemory, layout: Sequence[FrameSlot]
+) -> List[np.ndarray]:
+    """The frames ``layout`` places in ``segment``, as views into it."""
+    return [
+        np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
+        for offset, shape, dtype in layout
+    ]
+
+
 def _read_frames(
     segment: shared_memory.SharedMemory,
     layout: Sequence[FrameSlot],
@@ -142,26 +166,34 @@ def _read_frames(
     """Preprocess the frames ``layout`` places in ``segment`` into an
     NCHW batch.  The views into the segment die with this call, so the
     segment is never pinned past it."""
-    views = [
-        np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=offset)
-        for offset, shape, dtype in layout
-    ]
-    return preprocess_batch(views, input_size)
+    return preprocess_batch(_views(segment, layout), input_size)
+
+
+def _fingerprint_frames(
+    segment: shared_memory.SharedMemory, layout: Sequence[FrameSlot]
+) -> List[str]:
+    """Memo keys of the frames ``layout`` places in ``segment``.  A slot
+    holds a C-contiguous copy with the source's shape and dtype, so its
+    key equals ``image_fingerprint`` of the source frame."""
+    return [image_fingerprint(view) for view in _views(segment, layout)]
 
 
 def _worker_main(conn: Connection) -> None:
-    """Worker loop: (re)build the plan on ``plan``, score on ``run``
-    (a pickled NCHW batch) and ``frames`` (bitmaps in the frame segment).
+    """Worker loop: (re)build the plan on ``plan``; score on ``run`` (a
+    pickled NCHW batch) and ``frames`` (bitmaps in the frame segment);
+    hash on ``fingerprint`` (bitmaps in the frame segment, no weights
+    needed).
 
     Replies: ``("ready", fingerprint)`` after a successful plan build,
-    ``("result", task_id, probabilities)`` per sub-batch, and
-    ``("error", detail)`` / ``("error", task_id, detail)`` on failure —
-    the worker survives a failed request and keeps serving.  A
-    ``frames`` request names the frame segment; the worker re-attaches
-    when the name changes, and holds no view into it once it replies.
+    ``("result", task_id, payload)`` per sub-batch (probabilities, or
+    memo keys for ``fingerprint``), and ``("error", detail)`` /
+    ``("error", task_id, detail)`` on failure — the worker survives a
+    failed request and keeps serving.  A ``frames`` or ``fingerprint``
+    request names the frame segment; the worker re-attaches when the
+    name changes, and holds no view into it once it replies.
 
     Chaos commands (armed by the parent's ``chaos_*`` methods) fire on
-    the *next* sub-batch so the fault lands mid-batch:
+    the *next* sub-batch of any kind so the fault lands mid-batch:
     ``chaos-die-on-run`` exits without replying (the parent gathers an
     EOF), ``chaos-stall-on-run`` sleeps past the pool timeout first, and
     ``chaos-echo`` emits an unsolicited reply immediately (the parent's
@@ -198,30 +230,35 @@ def _worker_main(conn: Connection) -> None:
             except Exception as exc:
                 classifier = None
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        elif kind in ("run", "frames"):
+        elif kind in ("run", "frames", "fingerprint"):
             task_id = message[1]
             if die_on_run:
                 break
             if stall_on_run_s > 0.0:
                 time.sleep(stall_on_run_s)
                 stall_on_run_s = 0.0
-            if classifier is None:
+            if classifier is None and kind != "fingerprint":
                 conn.send(("error", task_id, "no published weights"))
                 continue
             try:
-                if kind == "frames":
+                if kind == "run":
+                    payload = classifier.predict_proba_tensor(message[2])
+                else:
                     _, _, segment_name, layout = message
                     if frames is None or frames.name != segment_name:
                         if frames is not None:
                             frames.close()
                             frames = None
                         frames = shared_memory.SharedMemory(name=segment_name)
-                    batch = _read_frames(
-                        frames, layout, classifier.config.input_size
-                    )
-                else:
-                    batch = message[2]
-                reply = ("result", task_id, classifier.predict_proba_tensor(batch))
+                    if kind == "fingerprint":
+                        payload = _fingerprint_frames(frames, layout)
+                    else:
+                        payload = classifier.predict_proba_tensor(
+                            _read_frames(
+                                frames, layout, classifier.config.input_size
+                            )
+                        )
+                reply = ("result", task_id, payload)
             except Exception as exc:
                 reply = ("error", task_id, f"{type(exc).__name__}: {exc}")
             # sent outside the handler: a failed read's traceback (and
@@ -242,7 +279,7 @@ def _split(items: _Items, parts: int) -> List[_Items]:
     """``parts`` contiguous slices of ``items``, with ``np.array_split``'s
     bounds (the first ``len % parts`` slices one item longer).  Works
     on a list of ragged bitmaps, which ``np.array_split`` would try to
-    stack."""
+    stack, and on a ``range`` of indices."""
     base, extra = divmod(len(items), parts)
     shares, start = [], 0
     for index in range(parts):
@@ -250,6 +287,11 @@ def _split(items: _Items, parts: int) -> List[_Items]:
         shares.append(items[start:stop])
         start = stop
     return shares
+
+
+def _probabilities(parts: list) -> np.ndarray:
+    """One float32 P(ad) vector from the lanes' results, in lane order."""
+    return np.concatenate([np.asarray(part, dtype=np.float32) for part in parts])
 
 
 def _unlink(segment: Optional[shared_memory.SharedMemory]) -> None:
@@ -453,7 +495,7 @@ class InferenceWorkerPool:
         :meth:`ad_probabilities` for the raw-bitmap path, which shares
         this call's scatter, gather and failure handling.
         """
-        return self._scatter_gather(
+        return self._sharded(
             batch,
             lambda shares: [("run", share) for share in shares],
             lambda share: self._lane.predict_proba_tensor(share),
@@ -470,41 +512,108 @@ class InferenceWorkerPool:
         :meth:`predict_proba` over the preprocessed batch, so the
         probabilities are bitwise equal to it.
         """
-        return self._scatter_gather(
-            list(bitmaps), self._frame_messages, self._lane_frames
-        )
 
-    def _scatter_gather(
+        def frame_messages(shares: List[list]) -> List[tuple]:
+            name, layouts = self._copy_frames(shares)
+            return [("frames", name, layout) for layout in layouts]
+
+        return self._sharded(list(bitmaps), frame_messages, self._lane_frames)
+
+    def fingerprint_and_score(
+        self,
+        bitmaps: Sequence[np.ndarray],
+        select: Callable[[List[str]], Optional[Sequence[int]]],
+    ) -> Optional[np.ndarray]:
+        """Memo keys for raw decoded bitmaps, then P(ad) for the frames
+        ``select`` picks by key: one call, two phases, one copy.
+
+        Phase 1: the workers' shares (``_split``'s bounds, the parent's
+        last) are copied into the frame segment, and every lane hashes
+        its own share with ``image_fingerprint`` — the workers from the
+        segment, the parent in place.  ``select`` then runs in the
+        parent with every frame's key, in input order, and returns the
+        ascending indices of the frames to score, or ``None`` to end the
+        call there.  Phase 2: every lane scores the selected frames in
+        its own share, the workers re-reading theirs from the slots
+        phase 1 wrote.
+
+        Returns the selected frames' probabilities in ``select``'s
+        order (``None`` when it returned ``None``), bitwise equal to
+        :meth:`ad_probabilities` over those frames.  The call is in
+        flight across both phases and writes the segment once, before
+        phase 1, so nothing can overwrite a slot between the phases.
+        Either phase fails the way every call does: drained pipes and
+        one :class:`WorkerPoolError`.
+        """
+        bitmaps = list(bitmaps)
+        with self._dispatch():
+            self._sync_workers()
+            *shares, own = _split(range(len(bitmaps)), len(self._workers) + 1)
+            shares = [share for share in shares if len(share)]
+            name, layouts = self._copy_frames(
+                [bitmaps[share.start:share.stop] for share in shares]
+            )
+            keys = self._scatter_gather(
+                [("fingerprint", name, layout) for layout in layouts],
+                lambda: [image_fingerprint(bitmaps[index]) for index in own],
+            )
+            selected = select([key for share_keys in keys for key in share_keys])
+            if selected is None:
+                return None
+            *picks, own_picks = [
+                [index for index in selected if index in share]
+                for share in (*shares, own)
+            ]
+            messages = [
+                ("frames", name, [layout[index - share.start] for index in picked])
+                for share, layout, picked in zip(shares, layouts, picks)
+                if picked
+            ]
+            return _probabilities(
+                self._scatter_gather(
+                    messages,
+                    lambda: self._lane_frames([bitmaps[i] for i in own_picks]),
+                )
+            )
+
+    @contextmanager
+    def _dispatch(self) -> Iterator[None]:
+        """Hold the pool in flight for one call, which may run several
+        scatter/gather phases.
+
+        Raises :class:`WorkerPoolError` when the pool is closed or
+        unpublished, and when another call is already in flight — its
+        workers may still be reading the frame segment.
+        """
+        self._ensure_open()
+        if self._export is None:
+            raise WorkerPoolError("no weights published; call publish()")
+        if self._dispatching:
+            raise WorkerPoolError("a batch is already in flight on this pool")
+        self._dispatching = True
+        try:
+            yield
+        finally:
+            self._dispatching = False
+
+    def _sharded(
         self,
         items: _Items,
         worker_messages: Callable[[List[_Items]], List[tuple]],
         own_probabilities: Callable[[_Items], np.ndarray],
     ) -> np.ndarray:
-        """The one scatter/gather/drain loop behind both entry points.
+        """One-phase call: P(ad) for ``items`` over every lane.
 
         ``items`` is cut into contiguous shares with ``np.array_split``'s
         bounds, one per live worker plus a last one the parent computes
         (``own_probabilities``) while the workers run.
         ``worker_messages`` turns the non-empty worker shares into one
         ``(kind, *payload)`` request each; results are gathered in split
-        order, so they align one-to-one with ``items``.  Raises
-        :class:`WorkerPoolError` on worker death or timeout — never a
-        silently wrong probability — and when another call is already
-        in flight.  On any failure, the parent's lane included, workers
-        still holding an in-flight reply are drained (or discarded when
-        they cannot be), so one bad batch never poisons the pipes, or
-        the frame segment, for the next call.
+        order, so they align one-to-one with ``items``.
         """
-        self._ensure_open()
-        if self._export is None:
-            raise WorkerPoolError("no weights published; call publish()")
-        if self._dispatching:
-            # its workers may still be reading the frame segment
-            raise WorkerPoolError("a batch is already in flight on this pool")
-        if not len(items):
-            return np.empty(0, dtype=np.float32)
-        self._dispatching = True
-        try:
+        with self._dispatch():
+            if not len(items):
+                return np.empty(0, dtype=np.float32)
             self._sync_workers()
             # split across the workers actually alive — a pool running
             # degraded (deferred/exhausted respawns) still covers the
@@ -512,60 +621,86 @@ class InferenceWorkerPool:
             # the first shares are the longer ones, so only trailing
             # worker shares can be empty
             *shares, own_share = _split(items, len(self._workers) + 1)
-            messages = worker_messages([share for share in shares if len(share)])
-            in_flight: List[_Worker] = []
-            task_ids: List[int] = []
-            for worker, (kind, *payload) in zip(self._workers, messages):
-                self._task_counter += 1
-                task_id = self._task_counter
-                try:
-                    worker.conn.send((kind, task_id, *payload))
-                except (BrokenPipeError, OSError) as exc:
-                    self._drain(in_flight)
-                    self._discard_worker(worker)
-                    raise WorkerPoolError(
-                        f"worker died during scatter: {exc}"
-                    ) from exc
-                in_flight.append(worker)
-                task_ids.append(task_id)
+            return _probabilities(
+                self._scatter_gather(
+                    worker_messages([share for share in shares if len(share)]),
+                    lambda: own_probabilities(own_share),
+                )
+            )
+
+    def _scatter_gather(
+        self, messages: List[tuple], own: Callable[[], object]
+    ) -> list:
+        """The one scatter/gather/drain loop behind every entry point
+        and every phase.
+
+        Sends ``messages[i]`` (``(kind, *payload)``) to the i-th live
+        worker, runs ``own()`` (the parent's lane) while the workers
+        compute, then gathers the workers' results in order; returns
+        ``[*worker results, own()]``.  Runs inside :meth:`_dispatch`.
+        Raises :class:`WorkerPoolError` on worker death or timeout —
+        never a silently wrong result.  On any failure, the parent's
+        lane included, workers still holding an in-flight reply are
+        drained (or discarded when they cannot be), so one bad batch
+        never poisons the pipes, or the frame segment, for the next
+        call.
+        """
+        in_flight: List[_Worker] = []
+        task_ids: List[int] = []
+        for worker, (kind, *payload) in zip(self._workers, messages):
+            self._task_counter += 1
+            task_id = self._task_counter
             try:
-                own = own_probabilities(own_share)
-            except Exception:
-                # the workers' replies must not outlive this call
+                worker.conn.send((kind, task_id, *payload))
+            except (BrokenPipeError, OSError) as exc:
                 self._drain(in_flight)
-                raise
-            gathered: List[np.ndarray] = []
-            for position, (worker, task_id) in enumerate(zip(in_flight, task_ids)):
-                pending = in_flight[position + 1:]
-                try:
-                    reply = self._recv(worker)
-                except WorkerPoolError:
-                    self._discard_worker(worker)
-                    self._drain(pending)
-                    raise
-                if reply[0] == "result" and reply[1] == task_id:
-                    gathered.append(np.asarray(reply[2], dtype=np.float32))
-                    continue
-                if reply[0] == "error" and len(reply) == 3 and reply[1] == task_id:
-                    # clean failure: the worker consumed the task and its
-                    # pipe stays in sync — only later workers need draining
-                    self._drain(pending)
-                    raise WorkerPoolError(f"worker failed mid-batch: {reply[2]}")
-                # out-of-sync reply: this worker's pipe cannot be trusted
+                self._discard_worker(worker)
+                raise WorkerPoolError(f"worker died during scatter: {exc}") from exc
+            in_flight.append(worker)
+            task_ids.append(task_id)
+        try:
+            mine = own()
+        except Exception:
+            # the workers' replies must not outlive this call
+            self._drain(in_flight)
+            raise
+        gathered: list = []
+        for position, (worker, task_id) in enumerate(zip(in_flight, task_ids)):
+            pending = in_flight[position + 1:]
+            try:
+                reply = self._recv(worker)
+            except WorkerPoolError:
                 self._discard_worker(worker)
                 self._drain(pending)
-                raise WorkerPoolError(
-                    f"out-of-sync {reply[0]!r} reply from worker; discarded it"
-                )
-            gathered.append(own)
-            return np.concatenate(gathered)
-        finally:
-            self._dispatching = False
+                raise
+            if reply[0] == "result" and reply[1] == task_id:
+                gathered.append(reply[2])
+                continue
+            if reply[0] == "error" and len(reply) == 3 and reply[1] == task_id:
+                # clean failure: the worker consumed the task and its
+                # pipe stays in sync — only later workers need draining
+                self._drain(pending)
+                raise WorkerPoolError(f"worker failed mid-batch: {reply[2]}")
+            # out-of-sync reply: this worker's pipe cannot be trusted
+            self._discard_worker(worker)
+            self._drain(pending)
+            raise WorkerPoolError(
+                f"out-of-sync {reply[0]!r} reply from worker; discarded it"
+            )
+        gathered.append(mine)
+        return gathered
 
-    def _frame_messages(self, shares: List[list]) -> List[tuple]:
-        """Copy the workers' bitmap shares into the frame segment; one
-        ``("frames", segment name, layout)`` request per share, where
-        the layout holds each frame's :data:`FrameSlot`."""
+    def _copy_frames(
+        self, shares: List[list]
+    ) -> Tuple[str, List[List[FrameSlot]]]:
+        """Copy the workers' bitmap shares into the frame segment.
+
+        Returns the segment's name and, per share, the
+        :data:`FrameSlot` of each of its frames.  Only called with no
+        reply outstanding.
+        """
+        if not shares:
+            return "", []
         layouts: List[List[FrameSlot]] = []
         end = 0
         for share in shares:
@@ -580,7 +715,7 @@ class InferenceWorkerPool:
                 np.ndarray(
                     shape, dtype=dtype, buffer=segment.buf, offset=offset
                 )[...] = bitmap
-        return [("frames", segment.name, layout) for layout in layouts]
+        return segment.name, layouts
 
     def _frame_segment(self, nbytes: int) -> shared_memory.SharedMemory:
         """The frame segment, at least ``nbytes`` long.
@@ -608,6 +743,8 @@ class InferenceWorkerPool:
 
     def _lane_frames(self, bitmaps: list) -> np.ndarray:
         """The parent's lane over its own share of raw bitmaps."""
+        if not bitmaps:
+            return np.empty(0, dtype=np.float32)
         tensors = preprocess_batch(bitmaps, self._lane.config.input_size)
         return self._lane.predict_proba_tensor(tensors)
 

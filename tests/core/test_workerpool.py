@@ -23,6 +23,8 @@ from repro.core import (
     configured_worker_count,
     preprocess_batch,
 )
+from repro.core.workerpool import _split
+from repro.utils.hashing import image_fingerprint
 
 
 def _nchw_batch(classifier, count, seed=0):
@@ -142,7 +144,12 @@ class TestParentLane:
             reference = PercivalBlocker(untrained_classifier, calibrated_latency_ms=1.0)
             assert pool.chaos_arm_worker_death(0)
             bitmaps = _bitmaps(8)
-            decisions = blocker.decide_many(bitmaps)
+            # keyed, so the worker's first sub-batch is a scoring one
+            # (a keyless call would meet the death in its hashing phase,
+            # before the parent computes; test_workerpool_faults.py arms
+            # it between the phases too)
+            keys = [PercivalBlocker.fingerprint(bitmap) for bitmap in bitmaps]
+            decisions = blocker.decide_many(bitmaps, keys=keys)
             assert seen_dead == [True]
             assert blocker.pool_fallbacks == 1
             assert [d.probability for d in decisions] == [
@@ -405,6 +412,112 @@ class TestBitmapPath:
         assert refused == [True, True]
         assert not pool.dispatching
         assert np.array_equal(got, untrained_classifier.ad_probabilities(bitmaps))
+
+
+class TestKeylessTwoPhase:
+    """A keyless pooled ``decide_many``: every lane hashes its own
+    share, the memo is probed between the phases, and every lane scores
+    the misses in its own share — bitwise equal to the pool-less call
+    in keys, probabilities, ``from_cache``, ``classifications`` and
+    memo contents."""
+
+    @staticmethod
+    def _compare(pool, classifier, frames, seeded=()):
+        """Run ``frames`` through a pooled and a pool-less blocker whose
+        memos were seeded alike; returns the pooled call's phase count."""
+        pooled = PercivalBlocker(
+            classifier, calibrated_latency_ms=1.0, pool=pool, shard_min_batch=1
+        )
+        reference = PercivalBlocker(classifier, calibrated_latency_ms=1.0)
+        for blocker in (pooled, reference):
+            blocker.decide_many(list(seeded))
+        phases = []
+        scatter_gather = pool._scatter_gather
+
+        def counting(messages, own):
+            phases.append([message[0] for message in messages])
+            return scatter_gather(messages, own)
+
+        pool._scatter_gather = counting
+        try:
+            got = pooled.decide_many(frames)
+        finally:
+            del pool._scatter_gather
+        assert got == reference.decide_many(frames)
+        assert list(pooled._memo.items()) == list(reference._memo.items())
+        assert pooled.classifications == reference.classifications
+        assert pooled.pool_fallbacks == 0
+        assert not pool.dispatching
+        return phases
+
+    @staticmethod
+    def _shares(count, workers):
+        *shares, own = _split(range(count), workers + 1)
+        return [share for share in shares if len(share)], own
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicates_spanning_shares(self, untrained_classifier, workers):
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            for count in range(2 * workers + 2):
+                frames = _mixed_bitmaps(count, seed=count)
+                shares, own = self._shares(count, workers)
+                if len(own) and shares:
+                    # the parent's last frame repeats the first worker's
+                    # first frame (an equal copy, not the same object)
+                    frames[own[-1]] = frames[0].copy()
+                phases = self._compare(pool, untrained_classifier, frames)
+                # an empty call is under shard_min_batch: no pool call
+                assert len(phases) == (2 if count else 0), count
+                if count:
+                    assert set(phases[0]) == {"fingerprint"}
+                    assert set(phases[1]) <= {"frames"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memo_hits_in_every_share(self, untrained_classifier, workers):
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            for count in range(2 * workers + 2):
+                frames = _mixed_bitmaps(count, seed=count + 40)
+                shares, own = self._shares(count, workers)
+                # the first frame of every lane's share is already known
+                seeded = [frames[share[0]] for share in (*shares, own) if len(share)]
+                self._compare(pool, untrained_classifier, frames, seeded)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_frame_hits_ends_after_hashing(
+        self, untrained_classifier, workers
+    ):
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            for count in range(1, 2 * workers + 2):
+                frames = _mixed_bitmaps(count, seed=count + 80)
+                phases = self._compare(pool, untrained_classifier, frames, frames)
+                assert phases == [["fingerprint"] * min(count, workers)], count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pooled_keys_equal_image_fingerprint(
+        self, untrained_classifier, workers
+    ):
+        """RGBA, RGB, strided views and float64 bitmaps in every lane's
+        share hash to the in-process key."""
+        frames = _mixed_bitmaps(4 * (workers + 1), seed=9)
+        seen = []
+        with InferenceWorkerPool(num_workers=workers) as pool:
+            pool.publish(untrained_classifier)
+            assert pool.fingerprint_and_score(frames, seen.append) is None
+            assert not pool.dispatching
+        assert seen == [[image_fingerprint(frame) for frame in frames]]
+
+    def test_scores_only_the_selected_frames(self, pool, untrained_classifier):
+        frames = _mixed_bitmaps(9, seed=12)
+        selected = [0, 2, 3, 7, 8]
+        got = pool.fingerprint_and_score(frames, lambda keys: selected)
+        expected = untrained_classifier.ad_probabilities(
+            [frames[index] for index in selected]
+        )
+        assert got.dtype == np.float32
+        assert np.array_equal(got, expected)
 
 
 class TestFailureModes:

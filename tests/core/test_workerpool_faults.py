@@ -10,10 +10,16 @@ while a flush is mid-scatter.  The invariants under test:
   (``PercivalBlocker.pool_fallbacks`` is the observable),
 * overload sheds explicitly and conserves requests,
 * ``available_capacity`` tells the serving layer the truth: zero when
-  closed, unpublished, or mid-dispatch.
+  closed, unpublished, or mid-dispatch,
+* a keyless pooled ``decide_many`` (hash phase, then score phase)
+  survives a fault armed before either phase the same way, and leaks no
+  shared-memory segment.
 """
 
+import glob
+
 import numpy as np
+import pytest
 
 from repro.core import (
     AdClassifier,
@@ -282,3 +288,73 @@ class TestFallbackCounterBaseline:
         )
         blocker.decide_many(_frames(6, seed=17))
         assert blocker.pool_fallbacks == 0
+
+
+def _shm_segments():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+_ARM = {
+    "death": lambda pool: pool.chaos_arm_worker_death(0),
+    "stall": lambda pool: pool.chaos_arm_worker_stall(0),
+    "corrupt": lambda pool: pool.chaos_corrupt_pipe(0),
+}
+
+
+class TestTwoPhaseFaults:
+    """Chaos armed before the hashing phase, or between it and the
+    scoring phase, of a keyless pooled ``decide_many``."""
+
+    @pytest.mark.parametrize("fault", sorted(_ARM))
+    @pytest.mark.parametrize("phase", ["before-hashing", "between-phases"])
+    def test_fault_falls_back_once_and_heals(
+        self, untrained_classifier, monkeypatch, fault, phase
+    ):
+        frames = _frames(12, seed=21)
+        frames[-1] = frames[0].copy()  # a duplicate across the lanes
+        later = _frames(12, seed=22)
+        segments_before = _shm_segments()
+        reference = PercivalBlocker(untrained_classifier, calibrated_latency_ms=1.0)
+        with InferenceWorkerPool(num_workers=2, timeout_s=1.0) as pool:
+            pool.publish(untrained_classifier)
+            blocker = _served_blocker(untrained_classifier, pool)
+            # one known frame, so the probe has a hit to serve too
+            blocker.decide_many([frames[5]])
+            reference.decide_many([frames[5]])
+            hashed = []
+            serial_fingerprint = blocker.fingerprint
+
+            def counting_fingerprint(bitmap):
+                hashed.append(bitmap)
+                return serial_fingerprint(bitmap)
+
+            monkeypatch.setattr(blocker, "fingerprint", counting_fingerprint)
+            if phase == "before-hashing":
+                assert _ARM[fault](pool)
+            else:
+                probe = blocker._probe
+
+                def arm_then_probe(keys):
+                    assert pool.dispatching
+                    assert _ARM[fault](pool)
+                    return probe(keys)
+
+                monkeypatch.setattr(blocker, "_probe", arm_then_probe)
+            decisions = blocker.decide_many(frames)
+            assert blocker.pool_fallbacks == 1
+            assert not pool.dispatching
+            assert decisions == reference.decide_many(frames)
+            assert list(blocker._memo.items()) == list(reference._memo.items())
+            assert blocker.classifications == reference.classifications
+            # the fallback after a finished hashing phase reuses its keys
+            assert len(hashed) == (len(frames) if phase == "before-hashing" else 0)
+
+            # the faulted worker is replaced and the next call is clean
+            monkeypatch.undo()
+            assert blocker.decide_many(later) == reference.decide_many(later)
+            assert blocker.pool_fallbacks == 1
+            assert pool.alive_workers == 2
+            names = [pool._segment.name, pool._frames.name]
+        for name in names:
+            assert not glob.glob(f"/dev/shm/{name.lstrip('/')}")
+        assert _shm_segments() <= segments_before

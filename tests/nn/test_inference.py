@@ -119,6 +119,24 @@ class TestPoolKernelEquivalence:
             reference, F.maxpool2d_infer(x, kernel, stride)
         )
 
+    @pytest.mark.parametrize("kernel", [2, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("size", [(7, 9), (9, 11), (15, 13)])
+    def test_separable_maxpool_bitwise_equals_window_tiles(
+        self, kernel, stride, size, rng
+    ):
+        """The row-then-column max equals the max over every window
+        offset's tile, bit for bit (max is exact)."""
+        x = rng.standard_normal((2, 4, *size)).astype(np.float32)
+        tiles = [
+            np.ascontiguousarray(tile)
+            for tile in F._window_tiles(x, kernel, stride)
+        ]
+        reference = np.maximum.reduce(tiles)
+        fast = F.maxpool2d_infer(x, kernel, stride)
+        assert fast.flags.c_contiguous
+        assert fast.tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("kernel,stride,size", POOL_GEOMETRIES)
     def test_avgpool_matches_reference(self, kernel, stride, size, rng):
         x = rng.standard_normal((2, 4, *size)).astype(np.float32)
