@@ -7,8 +7,10 @@ into shard-sized batches in front of one
 sharded worker pool).  See ``docs/serving.md`` for the architecture and
 the ``PERCIVAL_SERVE_*`` knobs.
 
-* :class:`BatchQueue` — deadline-based coalescing (flush on
-  ``max_batch`` or ``max_wait_ms``) with bounded-depth admission,
+* :class:`BatchQueue` — deadline-based coalescing (the simulator
+  flushes on ``max_batch`` or ``max_wait_ms``; the asyncio front
+  drains it whenever its event loop is idle) with bounded-depth
+  admission,
 * :class:`ServeLoop` — deterministic virtual-clock simulator (real
   compute, virtual time; the fault/property harness drives this),
 * :class:`AsyncServeFront` — the ``asyncio`` front door

@@ -14,8 +14,12 @@ memoization contract, and metrics:
 * :class:`AsyncServeFront` — the ``asyncio`` front door for real
   concurrent callers: ``await front.submit(bitmap)`` resolves to a
   :class:`~repro.core.blocker.BlockDecision` once the request's batch
-  flushes (on ``max_batch`` or the ``max_wait_ms`` timer, whichever
-  first).
+  flushes.  Its one compute lane is the event-loop thread, so it is
+  work-conserving: every enqueue schedules a flush for the loop's next
+  idle turn, which drains the queue in batches of at most
+  ``max_batch``.  ``max_wait_ms``, ``deadline_scale`` and the ladder's
+  widen-deadlines level shape the simulator's schedule; in the front
+  they are upper bounds an idle loop never reaches.
 
 Compute is modelled as a set of **lanes**.  The simulator sizes the set
 from the attached worker pool's capacity (override:
@@ -102,8 +106,8 @@ class ServeClosedError(RuntimeError):
     """The front door was closed; the request was never admitted.
 
     Raised by :meth:`AsyncServeFront.submit` after :meth:`aclose` — a
-    closed front has drained its queue and disarmed its timer, so
-    admitting more work could only hang the caller.
+    closed front has drained its queue and cancelled its pending flush,
+    so admitting more work could only hang the caller.
     """
 
 
@@ -486,12 +490,15 @@ class AsyncServeFront:
     """``asyncio`` front door over the same micro-batching queue.
 
     ``submit`` returns an awaitable that resolves to the request's
-    :class:`BlockDecision`.  A full batch schedules a flush callback on
-    the event loop (deferred, so a burst of submits already on the
-    ready queue gets to enqueue — or shed — before compute runs); a
-    partial batch flushes when its oldest request hits ``max_wait_ms``
-    via a ``call_later`` timer.  A full queue raises
-    :class:`ServeOverloadError` — backpressure is the caller's signal.
+    :class:`BlockDecision`.  Every enqueue schedules a flush callback
+    on the event loop (``call_soon``, deferred so a burst of submits
+    already on the ready queue gets to enqueue — or shed — before
+    compute runs), and that flush drains the queue in batches of at
+    most ``max_batch``.  No request waits out ``max_wait_ms`` for
+    batch-mates: requests that arrive while a batch computes pile up
+    and leave together in the next flush, so batches still grow under
+    load.  A full queue raises :class:`ServeOverloadError` —
+    backpressure is the caller's signal.
 
     Batch compute runs inline on the event-loop thread, one batch at a
     time: the blocker's scratch buffers and the worker pool's dispatch
@@ -528,7 +535,6 @@ class AsyncServeFront:
         self._queue = BatchQueue(self.settings)
         self._pending: Dict[str, ServeRequest] = {}
         self._waiters: Dict[int, "asyncio.Future[BlockDecision]"] = {}
-        self._timer: Optional[asyncio.TimerHandle] = None
         self._flush_handle: Optional[asyncio.Handle] = None
         self._origin_s: Optional[float] = None
         self._next_id = 0
@@ -583,28 +589,22 @@ class AsyncServeFront:
             )
         future: "asyncio.Future[BlockDecision]" = loop.create_future()
         self._waiters[request.request_id] = future
-        if self._queue.due(now_ms):
-            # defer to a callback instead of flushing inline: submit
-            # returns immediately, and a burst of submits already on
-            # the ready queue gets to enqueue (or shed) before the
-            # flush runs — admission control stays observable
-            self._schedule_flush(loop)
-        else:
-            self._arm_timer(loop)
+        # defer to a callback instead of flushing inline: submit
+        # returns immediately, and a burst of submits already on the
+        # ready queue gets to enqueue (or shed) before the flush runs
+        # — admission control stays observable
+        self._schedule_flush(loop)
         return await future
 
     async def drain(self) -> None:
-        """Flush everything still queued, deadline or not."""
-        self._start_flush(asyncio.get_running_loop(), force=True)
+        """Flush everything still queued."""
+        self._flush(asyncio.get_running_loop())
 
     async def aclose(self) -> None:
-        """Drain pending requests, disarm the flush timer, and refuse
-        further submits.  Idempotent."""
+        """Drain pending requests, cancel the scheduled flush, and
+        refuse further submits.  Idempotent."""
         self._closed = True
         await self.drain()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -621,39 +621,27 @@ class AsyncServeFront:
             self._origin_s = loop.time()
         return (loop.time() - self._origin_s) * 1000.0
 
-    def _arm_timer(self, loop: asyncio.AbstractEventLoop) -> None:
-        deadline = self._queue.next_deadline_ms()
-        if deadline is None or self._timer is not None:
-            return
-        delay_s = max(deadline - self._now_ms(loop), 0.0) / 1000.0
-        self._timer = loop.call_later(delay_s, self._on_deadline, loop)
-
-    def _on_deadline(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._timer = None
-        try:
-            if self._queue.due(self._now_ms(loop)):
-                self._start_flush(loop)
-        finally:
-            # whatever the flush did, requests still queued must keep
-            # a live deadline timer — an unarmed partial batch would
-            # wait forever
-            self._arm_timer(loop)
-
     def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
         if self._flush_handle is None:
             self._flush_handle = loop.call_soon(self._run_flush, loop)
 
     def _run_flush(self, loop: asyncio.AbstractEventLoop) -> None:
         self._flush_handle = None
-        self._start_flush(loop)
+        try:
+            self._flush(loop)
+        finally:
+            # whatever raised outside compute, a queued request must
+            # keep a scheduled flush — an unscheduled one would wait
+            # forever
+            if self._queue.depth:
+                self._schedule_flush(loop)
 
-    def _start_flush(
-        self, loop: asyncio.AbstractEventLoop, force: bool = False
-    ) -> None:
-        """Flush every due batch, inline on the event-loop thread."""
+    def _flush(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Drain the queue in batches of at most ``max_batch``, inline
+        on the event-loop thread."""
         while True:
             flush_ms = self._now_ms(loop)
-            batch = self._queue.pop_batch(flush_ms, force=force)
+            batch = self._queue.pop_batch(flush_ms, force=True)
             if batch is None:
                 break
             try:
@@ -662,9 +650,6 @@ class AsyncServeFront:
                 self._settle_failure(batch, exc)
                 continue
             self._settle_batch(batch, decisions, flush_ms, loop)
-        # re-arm for whatever is still queued (partial batch)
-        if self._timer is None and self._queue.depth:
-            self._arm_timer(loop)
 
     def _settle_batch(
         self,

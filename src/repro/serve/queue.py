@@ -20,7 +20,12 @@ viewport flood.
 The queue is deliberately pure: it never reads a wall clock.  Every
 operation takes ``now_ms`` explicitly, so the deterministic virtual-
 clock serve loop, the asyncio front door, and the Hypothesis property
-suite all drive the *same* code with their own notion of time.
+suite all drive the *same* code with their own notion of time.  The
+deadline policy (``max_wait_ms`` scaled by ``deadline_scale``, which
+the ladder's widen-deadlines level raises) is what the simulator
+schedules by; the asyncio front has one compute lane and drains the
+queue with ``pop_batch(force=True)`` whenever its event loop is idle,
+so there a deadline is an upper bound it never reaches.
 
 Admission control is part of the type: ``offer`` refuses requests past
 ``max_depth`` (counted across every priority class) and counts them as

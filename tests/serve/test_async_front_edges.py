@@ -1,10 +1,14 @@
-"""Edge cases of the asyncio front door: timer races, close, failures.
+"""Edge cases of the asyncio front door: flush scheduling, close,
+failures.
 
-The contract under stress: no matter how the ``max_wait_ms`` timer, the
-deferred-flush callback, and ``aclose()`` interleave, every admitted
-request resolves exactly once (decision or exception — never a hang),
-and the conservation ledger balances.  A batch whose compute raises
-fails its waiters, and the front keeps serving the next batch.
+The front is work-conserving: every enqueue schedules one deferred
+flush, which drains the queue in batches of at most ``max_batch`` as
+soon as the event loop is idle — no request waits out ``max_wait_ms``.
+The contract under stress: no matter how submits, the deferred-flush
+callback and ``aclose()`` interleave, every admitted request resolves
+exactly once (decision or exception — never a hang), and the
+conservation ledger balances.  A batch whose compute raises fails its
+waiters, and the front keeps serving the next batch.
 """
 
 import asyncio
@@ -32,10 +36,10 @@ class TestTimerEdges:
     def test_deadline_fires_while_flush_already_scheduled(
         self, untrained_classifier
     ):
-        """``max_wait_ms=0`` puts the deadline timer and the full-batch
-        flush callback on the event loop in the same tick; whichever
-        runs second must find the queue empty and do nothing — not
-        double-flush, not hang the leftover request."""
+        """``max_wait_ms=0`` makes every request due at once; three
+        submits from one burst still share a single scheduled flush,
+        which serves them all — no double flush, no hung leftover
+        request."""
         front = AsyncServeFront(
             _blocker(untrained_classifier),
             ServeSettings(max_batch=2, max_wait_ms=0.0, max_depth=16),
@@ -57,8 +61,9 @@ class TestTimerEdges:
     def test_timer_survives_partial_flush_and_fires_later(
         self, untrained_classifier
     ):
-        """A full batch flushes immediately; the straggler left behind
-        must still be flushed by the (already armed) deadline timer."""
+        """A burst one past ``max_batch``: the flush serves the full
+        batch, then the straggler left behind as a second batch in the
+        same callback — it never waits for its ``max_wait_ms``."""
         front = AsyncServeFront(
             _blocker(untrained_classifier),
             ServeSettings(max_batch=2, max_wait_ms=5.0, max_depth=16),
@@ -78,12 +83,12 @@ class TestTimerEdges:
         assert front.stats.batches == 2
         assert front.stats.conserved()
 
-    def test_aclose_with_armed_timer_resolves_the_straggler(
+    def test_aclose_with_scheduled_flush_resolves_the_straggler(
         self, untrained_classifier
     ):
-        """Closing while a partial batch sits behind a long timer must
-        force-flush it (the waiter resolves, never hangs) and disarm
-        the timer."""
+        """Closing while a queued request's flush is still scheduled
+        must force-flush it (the waiter resolves, never hangs) and
+        cancel the scheduled flush, so nothing stays on the loop."""
         front = AsyncServeFront(
             _blocker(untrained_classifier),
             ServeSettings(max_batch=8, max_wait_ms=60_000.0, max_depth=16),
@@ -93,15 +98,15 @@ class TestTimerEdges:
             task = asyncio.ensure_future(
                 front.submit(_frames(1, seed=2)[0])
             )
-            await asyncio.sleep(0)  # let submit enqueue + arm the timer
-            assert front._timer is not None
+            await asyncio.sleep(0)  # let submit enqueue + schedule
+            assert front._flush_handle is not None
             assert front.depth == 1
             await front.aclose()
             return await asyncio.wait_for(task, timeout=1.0)
 
         decision = asyncio.run(drive())
         assert decision is not None
-        assert front._timer is None
+        assert front._flush_handle is None
         assert front.depth == 0
         assert front.stats.conserved()
 
@@ -120,6 +125,130 @@ class TestTimerEdges:
             await front.aclose()  # idempotent
 
         asyncio.run(drive())
+
+
+class TestIdleFlush:
+    """Work conservation: the one compute lane never idles while a
+    request is queued, and bursts still batch."""
+
+    def test_lone_submit_does_not_wait_out_max_wait(
+        self, untrained_classifier
+    ):
+        front = AsyncServeFront(
+            _blocker(untrained_classifier),
+            ServeSettings(max_batch=8, max_wait_ms=60_000.0, max_depth=16),
+        )
+
+        async def drive():
+            decision = await asyncio.wait_for(
+                front.submit(_frames(1, seed=3)[0]), timeout=2.0
+            )
+            await front.aclose()
+            return decision
+
+        assert asyncio.run(drive()) is not None
+        assert front.stats.batches == 1
+        assert front.stats.conserved()
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_one_burst_within_max_batch_is_one_batch(
+        self, untrained_classifier, count
+    ):
+        front = AsyncServeFront(
+            _blocker(untrained_classifier),
+            ServeSettings(max_batch=8, max_wait_ms=60_000.0, max_depth=16),
+        )
+
+        async def drive():
+            decisions = await asyncio.wait_for(
+                asyncio.gather(
+                    *(front.submit(frame) for frame in _frames(count, seed=5))
+                ),
+                timeout=2.0,
+            )
+            await front.aclose()
+            return decisions
+
+        assert len(asyncio.run(drive())) == count
+        assert front.stats.batches == 1
+        assert front.stats.answered == count
+        assert front.stats.conserved()
+
+    def test_overfull_burst_drains_in_one_flush_callback(
+        self, untrained_classifier
+    ):
+        max_batch = 4
+        front = AsyncServeFront(
+            _blocker(untrained_classifier),
+            ServeSettings(
+                max_batch=max_batch, max_wait_ms=60_000.0, max_depth=16
+            ),
+        )
+        run_flush = front._run_flush
+        callbacks = []
+
+        def counted(loop):
+            callbacks.append(front.depth)
+            run_flush(loop)
+
+        front._run_flush = counted
+        frames = _frames(2 * max_batch + 1, seed=6)
+
+        async def drive():
+            decisions = await asyncio.wait_for(
+                asyncio.gather(*(front.submit(frame) for frame in frames)),
+                timeout=2.0,
+            )
+            await front.aclose()
+            return decisions
+
+        assert len(asyncio.run(drive())) == len(frames)
+        assert callbacks == [len(frames)]
+        assert front.stats.batches == 3
+        assert front.stats.conserved()
+
+    def test_raise_outside_compute_strands_no_waiter(
+        self, untrained_classifier
+    ):
+        """A flush that raises before compute (here: the first
+        ``pop_batch``) re-schedules itself while requests are queued;
+        the next flush serves every waiter."""
+        front = AsyncServeFront(
+            _blocker(untrained_classifier),
+            ServeSettings(max_batch=2, max_wait_ms=60_000.0, max_depth=16),
+        )
+        pop_batch = front._queue.pop_batch
+        raised = []
+
+        def flaky(now_ms, force=False):
+            if not raised:
+                raised.append(now_ms)
+                raise RuntimeError("scheduler hiccup")
+            return pop_batch(now_ms, force=force)
+
+        front._queue.pop_batch = flaky
+        reported = []
+
+        async def drive():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context["exception"])
+            )
+            decisions = await asyncio.wait_for(
+                asyncio.gather(
+                    *(front.submit(frame) for frame in _frames(3, seed=9))
+                ),
+                timeout=2.0,
+            )
+            await front.aclose()
+            return decisions
+
+        decisions = asyncio.run(drive())
+        assert all(d is not None for d in decisions)
+        assert len(raised) == 1
+        assert [str(exc) for exc in reported] == ["scheduler hiccup"]
+        assert front.stats.answered == 3
+        assert front.stats.failed == 0
+        assert front.stats.conserved()
 
 
 class TestExecutorMode:

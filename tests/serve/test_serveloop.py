@@ -369,7 +369,8 @@ class TestAsyncServeFront:
         )
 
         async def drive():
-            # far fewer than max_batch: only the deadline can flush
+            # far fewer than max_batch: one idle-loop flush takes all
+            # three, without waiting out max_wait_ms
             return await asyncio.wait_for(
                 asyncio.gather(*[front.submit(f) for f in frames]),
                 timeout=5.0,
