@@ -22,11 +22,11 @@ Three hot-path refinements over the naive per-frame loop:
   shared-memory frame segment, weights ride a second segment published
   once — and the calling thread computes the last share as lane N + 1
   while the workers run, so neither preprocessing nor the forward pass
-  waits serially in the parent.  A keyed call sends its memo misses
-  (:meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`);
-  a keyless one sends the whole batch, and the lanes fingerprint it
-  too before scoring the misses in their shares
-  (:meth:`~repro.core.workerpool.InferenceWorkerPool.fingerprint_and_score`).
+  waits serially in the parent.  Both reach the pool through one
+  :meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`
+  call: a keyed call sends its memo misses; a keyless one sends the
+  whole batch with a ``select`` that probes the memo, so the lanes
+  fingerprint it too before scoring the misses in their shares.
   Batches under ``shard_min_batch``, pool failures, and pool-less
   blockers all hash, preprocess and score in-process on the
   single-process fast path — sharding can only change *where* a key or
@@ -78,8 +78,8 @@ class PercivalBlocker:
         self.classifier = classifier
         #: worker pool for sharded batch inference (None = in-process).
         #: Duck-typed: anything with ``closed``/``published_fingerprint``
-        #: /``publish``/``ad_probabilities``/``fingerprint_and_score``
-        #: works — tests inject stubs.
+        #: /``publish``/``ad_probabilities(bitmaps, select)`` works —
+        #: tests inject stubs.
         self.pool = pool
         if shard_min_batch is None:
             shard_min_batch = classifier.config.shard_min_batch
@@ -195,54 +195,55 @@ class PercivalBlocker:
         count); their decisions report ``from_cache=False`` because the
         verdict was computed during this call.
 
-        A keyless call that the pool would take anyway runs as one
-        two-phase pool call
-        (:meth:`~repro.core.workerpool.InferenceWorkerPool.fingerprint_and_score`):
-        every lane hashes its own share, the memo is probed here between
-        the phases, and every lane scores the unique misses in its own
-        share.  Keys, probabilities, ``from_cache``, ``classifications``
-        and the memo end up bitwise equal to the pool-less call.
+        A batch the pool takes goes through one
+        :meth:`~repro.core.workerpool.InferenceWorkerPool.ad_probabilities`
+        call.  A keyed call (the serve fronts hash at submit) sends its
+        unique memo misses.  A keyless call sends the whole batch with a
+        ``select`` that probes the memo, so every lane hashes its own
+        share, the memo is probed here between the phases, and every
+        lane scores the unique misses in its own share.  Either way the
+        keys, probabilities, ``from_cache``, ``classifications`` and the
+        memo end up bitwise equal to the pool-less call.
         """
         self._check_memo_generation()
         bitmaps = list(bitmaps)
         if keys is not None and len(keys) != len(bitmaps):
             raise ValueError("keys must align one-to-one with bitmaps")
-        # the memo probe, once the keys are known; the pool's select
-        # callback sets it between the phases, so a pool failure after
-        # the hashing phase keeps it
-        probe = None
+        # the memo probe, once the keys are known: up front for a keyed
+        # call, between the pool's phases for a keyless one (so a pool
+        # failure after the hashing phase keeps it)
+        probe = None if keys is None else self._probe(keys)
+
+        def select(pooled_keys: List[str]) -> Optional[List[int]]:
+            nonlocal probe
+            probe = self._probe(pooled_keys)
+            misses = probe[1]
+            if len(misses) < self.shard_min_batch:
+                return None  # few enough to score in-process
+            return [indices[0] for indices in misses.values()]
+
+        if probe is None:
+            sent, pool_select = bitmaps, select
+        else:
+            sent = [bitmaps[indices[0]] for indices in probe[1].values()]
+            pool_select = None
         probabilities = None
-        pooled = keys is None and self._pool_takes(len(bitmaps))
-        if pooled:
-
-            def select(pooled_keys: List[str]) -> Optional[List[int]]:
-                nonlocal probe
-                probe = self._probe(pooled_keys)
-                misses = probe[1]
-                if len(misses) < self.shard_min_batch:
-                    return None  # few enough to score in-process
-                return [indices[0] for indices in misses.values()]
-
+        if self._pool_takes(len(sent)):
             try:
-                probabilities = self._published_pool().fingerprint_and_score(
-                    bitmaps, select
+                probabilities = self._published_pool().ad_probabilities(
+                    sent, pool_select
                 )
             except WorkerPoolError:
                 self.pool_fallbacks += 1
         if probe is None:
-            if keys is None:
-                keys = [self.fingerprint(bitmap) for bitmap in bitmaps]
-            probe = self._probe(keys)
+            probe = self._probe([self.fingerprint(bitmap) for bitmap in bitmaps])
         decisions, misses = probe
         if misses:
             if probabilities is None:
-                # pool-less, keyed, too few misses, or a failed pool
-                # call (which must not be retried through the pool)
-                fresh = [bitmaps[indices[0]] for indices in misses.values()]
-                probabilities = (
-                    self._local_probabilities(fresh)
-                    if pooled
-                    else self._miss_probabilities(fresh)
+                # pool-less, too few misses, or a failed pool call
+                # (which must not be retried through the pool)
+                probabilities = self._local_probabilities(
+                    [bitmaps[indices[0]] for indices in misses.values()]
                 )
             for key, probability in zip(misses, probabilities):
                 decision = self._record(key, float(probability))
@@ -289,23 +290,6 @@ class PercivalBlocker:
         if self.pool.published_fingerprint != fingerprint:
             self.pool.publish(self.classifier)
         return self.pool
-
-    def _miss_probabilities(self, bitmaps: List[np.ndarray]) -> np.ndarray:
-        """P(ad) for the memo-miss bitmaps: sharded when it pays off.
-
-        Routes the raw bitmaps through the worker pool when
-        :meth:`_pool_takes` them; the pool's lanes preprocess their own
-        shares.  Any pool failure — worker death mid-batch, failed
-        publication — degrades to in-process preprocessing and the fast
-        path, so a dying pool can slow a page down but never change or
-        drop a verdict.
-        """
-        if self._pool_takes(len(bitmaps)):
-            try:
-                return self._published_pool().ad_probabilities(bitmaps)
-            except WorkerPoolError:
-                self.pool_fallbacks += 1
-        return self._local_probabilities(bitmaps)
 
     def _local_probabilities(self, bitmaps: List[np.ndarray]) -> np.ndarray:
         """P(ad) for ``bitmaps``, preprocessed and scored in-process."""

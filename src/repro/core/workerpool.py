@@ -9,22 +9,23 @@ gathers per-frame ad probabilities back in order — so a page's batched
 forward pass scales with cores instead of saturating one GIL, and the
 parent's core works instead of idling on the pipes.
 
-Three entry points share that one scatter/gather/drain loop:
+Every request — a plan build, a hashing or scoring share — goes out
+and comes back through one scatter/gather/drain loop, tagged with a
+task id, and every reply is ``("result", task_id, payload)`` or
+``("error", task_id, detail)``.  Two entry points use it:
 
 * :meth:`InferenceWorkerPool.ad_probabilities` takes raw decoded
-  bitmaps, and every lane preprocesses its own share (the blocker's
-  keyed path).  The workers' shares travel through a pool-owned
-  **frame segment** (``multiprocessing.shared_memory``): the parent
-  copies the bitmaps in and sends each worker only
-  ``(offset, shape, dtype)`` per frame, which is cheaper than pickling
-  either the bitmaps or the tensors they become.
-* :meth:`InferenceWorkerPool.fingerprint_and_score` is the blocker's
-  keyless path, two phases over one copy of the frames.  Every lane
-  first hashes its own share into memo keys (the workers from the
-  frame segment); the caller's ``select`` then probes its memo with
-  the keys, and every lane scores the selected frames that lie in its
-  own share — the workers re-read theirs from the slots phase 1 left
-  in the segment, so nothing is copied twice.
+  bitmaps, and every lane preprocesses its own share.  The workers'
+  shares travel through a pool-owned **frame segment**
+  (``multiprocessing.shared_memory``): the parent copies the bitmaps
+  in once and sends each worker only ``(offset, shape, dtype)`` per
+  frame, which is cheaper than pickling either the bitmaps or the
+  tensors they become.  Given a ``select`` callback, the call first
+  has every lane hash its own share into memo keys (the workers from
+  the frame segment); ``select`` probes the caller's memo with them,
+  and every lane then scores only the selected frames in its own
+  share — the workers re-read theirs from the slots the hashing phase
+  read, so nothing is copied twice.
 * :meth:`InferenceWorkerPool.predict_proba` takes an already
   preprocessed NCHW batch and pickles each worker's slice of it.
 
@@ -75,18 +76,19 @@ replies, so its ``SharedMemory.close()`` can never raise
 outstanding: every exit path of a call drains or discards the
 in-flight workers, and a call that arrives while another is in flight
 raises :class:`WorkerPoolError` instead of overwriting frames a worker
-may still be reading.  A two-phase call writes it once, before its
-first phase, and stays in flight (``dispatching``) across both, so the
-slots its second phase names still hold the frames the first hashed.
+may still be reading.  A call with ``select`` writes it once, before
+its hashing phase, and stays in flight (``dispatching``) across both
+phases, so the slots its scoring phase names still hold the frames the
+first hashed.
 
 Failure semantics: any worker death or timeout surfaces as
 :class:`WorkerPoolError`, which callers (``PercivalBlocker``) treat as
 "fall back to in-process inference" — a dying pool can slow a page
-down, never mis-classify it.  Both phases of a two-phase call run
-through the same loop, so a failure in either drains the same way and
-raises the same one error.  An exception in the parent's own lane
-propagates as raised, after the workers' in-flight replies are
-drained.  Dead workers are respawned on the next call, but not
+down, never mis-classify it.  Publication and both phases of a call
+run through the same loop, so a failure in any of them drains the
+same way and raises the same one error.  An exception in the parent's
+own lane propagates as raised, after the workers' in-flight replies
+are drained.  Dead workers are respawned on the next call, but not
 forever: replacements draw on a bounded **respawn
 budget** (``respawn_budget``, default 16) with exponential backoff
 between attempts, so a deterministically-crashing worker degrades the
@@ -99,7 +101,8 @@ The ``chaos_*`` methods are the deterministic fault-injection surface
 the :mod:`repro.resilience` chaos plane drives: they *arm* a fault on
 a live worker (die/stall on its next sub-batch, emit an unsolicited
 reply, fail the next publication) so the failure lands mid-protocol,
-in whichever phase of a call asks the worker for work next,
+in whichever phase of a call asks the worker for work next (an echo
+lands on whatever the parent gathers next, a plan included),
 exactly where the recovery paths above must catch it.  They are inert
 unless called — a pool that never sees chaos runs the same bytes as
 before.
@@ -134,7 +137,7 @@ _FRAME_ALIGN = 64
 #: one frame's place in the frame segment: (offset, shape, dtype string)
 FrameSlot = Tuple[int, Tuple[int, ...], str]
 
-_Items = TypeVar("_Items", np.ndarray, list, range)
+_Items = TypeVar("_Items", np.ndarray, range)
 
 
 def _preferred_context() -> mp.context.BaseContext:
@@ -179,25 +182,28 @@ def _fingerprint_frames(
 
 
 def _worker_main(conn: Connection) -> None:
-    """Worker loop: (re)build the plan on ``plan``; score on ``run`` (a
-    pickled NCHW batch) and ``frames`` (bitmaps in the frame segment);
-    hash on ``fingerprint`` (bitmaps in the frame segment, no weights
-    needed).
+    """Worker loop: (re)build the plan on ``plan`` (the weight segment's
+    name and a :class:`~repro.core.classifier.PlanExport`); score on
+    ``run`` (a pickled NCHW batch) and ``frames`` (bitmaps in the frame
+    segment); hash on ``fingerprint`` (bitmaps in the frame segment, no
+    weights needed).
 
-    Replies: ``("ready", fingerprint)`` after a successful plan build,
-    ``("result", task_id, payload)`` per sub-batch (probabilities, or
-    memo keys for ``fingerprint``), and ``("error", detail)`` /
-    ``("error", task_id, detail)`` on failure — the worker survives a
-    failed request and keeps serving.  A ``frames`` or ``fingerprint``
-    request names the frame segment; the worker re-attaches when the
-    name changes, and holds no view into it once it replies.
+    Every request carries a task id, and every reply is
+    ``("result", task_id, payload)`` — the published fingerprint for a
+    plan, probabilities for a score, memo keys for a hash — or
+    ``("error", task_id, detail)``; the worker survives a failed request
+    and keeps serving (a failed plan build leaves it with no weights).
+    A ``frames`` or ``fingerprint`` request names the frame segment; the
+    worker re-attaches when the name changes, and holds no view into it
+    once it replies.
 
     Chaos commands (armed by the parent's ``chaos_*`` methods) fire on
-    the *next* sub-batch of any kind so the fault lands mid-batch:
-    ``chaos-die-on-run`` exits without replying (the parent gathers an
-    EOF), ``chaos-stall-on-run`` sleeps past the pool timeout first, and
-    ``chaos-echo`` emits an unsolicited reply immediately (the parent's
-    next gather goes out-of-sync and discards this worker's pipe).
+    the *next* hashing or scoring request, never on a plan, so the fault
+    lands mid-batch: ``chaos-die-on-run`` exits without replying (the
+    parent gathers an EOF), ``chaos-stall-on-run`` sleeps past the pool
+    timeout first, and ``chaos-echo`` emits an unsolicited reply
+    immediately (the parent's next gather goes out-of-sync and discards
+    this worker's pipe).
     """
     classifier: Optional[AdClassifier] = None
     frames: Optional[shared_memory.SharedMemory] = None
@@ -218,30 +224,30 @@ def _worker_main(conn: Connection) -> None:
                 conn.send(("chaos-echo",))
             except (BrokenPipeError, OSError):
                 break
-        elif kind == "plan":
-            _, export, segment_name = message
-            try:
-                segment = shared_memory.SharedMemory(name=segment_name)
-                try:
-                    classifier = AdClassifier.from_plan_export(export, segment.buf)
-                finally:
-                    segment.close()
-                conn.send(("ready", export.fingerprint))
-            except Exception as exc:
-                classifier = None
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        elif kind in ("run", "frames", "fingerprint"):
+        elif kind in ("plan", "run", "frames", "fingerprint"):
             task_id = message[1]
-            if die_on_run:
-                break
-            if stall_on_run_s > 0.0:
-                time.sleep(stall_on_run_s)
-                stall_on_run_s = 0.0
-            if classifier is None and kind != "fingerprint":
+            if kind != "plan":
+                if die_on_run:
+                    break
+                if stall_on_run_s > 0.0:
+                    time.sleep(stall_on_run_s)
+                    stall_on_run_s = 0.0
+            if classifier is None and kind in ("run", "frames"):
                 conn.send(("error", task_id, "no published weights"))
                 continue
             try:
-                if kind == "run":
+                if kind == "plan":
+                    _, _, export, segment_name = message
+                    classifier = None
+                    weights = shared_memory.SharedMemory(name=segment_name)
+                    try:
+                        classifier = AdClassifier.from_plan_export(
+                            export, weights.buf
+                        )
+                    finally:
+                        weights.close()
+                    payload = export.fingerprint
+                elif kind == "run":
                     payload = classifier.predict_proba_tensor(message[2])
                 else:
                     _, _, segment_name, layout = message
@@ -277,9 +283,9 @@ def _worker_main(conn: Connection) -> None:
 
 def _split(items: _Items, parts: int) -> List[_Items]:
     """``parts`` contiguous slices of ``items``, with ``np.array_split``'s
-    bounds (the first ``len % parts`` slices one item longer).  Works
-    on a list of ragged bitmaps, which ``np.array_split`` would try to
-    stack, and on a ``range`` of indices."""
+    bounds (the first ``len % parts`` slices one item longer), over an
+    NCHW batch or a ``range`` of indices into a list of ragged
+    bitmaps."""
     base, extra = divmod(len(items), parts)
     shares, start = [], 0
     for index in range(parts):
@@ -493,73 +499,67 @@ class InferenceWorkerPool:
 
         Each worker's slice of ``batch`` is pickled to it; see
         :meth:`ad_probabilities` for the raw-bitmap path, which shares
-        this call's scatter, gather and failure handling.
+        this call's split, scatter, gather and failure handling.
         """
-        return self._sharded(
-            batch,
-            lambda shares: [("run", share) for share in shares],
-            lambda share: self._lane.predict_proba_tensor(share),
-        )
+        with self._dispatch():
+            if not len(batch):
+                return np.empty(0, dtype=np.float32)
+            self._sync_workers()
+            *shares, own = _split(batch, len(self._workers) + 1)
+            return _probabilities(
+                self._scatter_gather(
+                    [("run", share) for share in shares if len(share)],
+                    lambda: self._lane.predict_proba_tensor(own),
+                )
+            )
 
-    def ad_probabilities(self, bitmaps: Sequence[np.ndarray]) -> np.ndarray:
-        """P(ad) for raw decoded bitmaps, each lane preprocessing its
-        own share.
-
-        The workers' shares are copied into the frame segment and each
-        worker is sent only where its frames lie; the parent
-        preprocesses its own share in place.  Every lane runs the same
-        ``preprocess_batch`` and plan over the same shares as
-        :meth:`predict_proba` over the preprocessed batch, so the
-        probabilities are bitwise equal to it.
-        """
-
-        def frame_messages(shares: List[list]) -> List[tuple]:
-            name, layouts = self._copy_frames(shares)
-            return [("frames", name, layout) for layout in layouts]
-
-        return self._sharded(list(bitmaps), frame_messages, self._lane_frames)
-
-    def fingerprint_and_score(
+    def ad_probabilities(
         self,
         bitmaps: Sequence[np.ndarray],
-        select: Callable[[List[str]], Optional[Sequence[int]]],
+        select: Optional[Callable[[List[str]], Optional[Sequence[int]]]] = None,
     ) -> Optional[np.ndarray]:
-        """Memo keys for raw decoded bitmaps, then P(ad) for the frames
-        ``select`` picks by key: one call, two phases, one copy.
+        """P(ad) for raw decoded bitmaps, each lane preprocessing its
+        own share — or, given ``select``, for the frames it picks by
+        memo key.
 
-        Phase 1: the workers' shares (``_split``'s bounds, the parent's
-        last) are copied into the frame segment, and every lane hashes
-        its own share with ``image_fingerprint`` — the workers from the
-        segment, the parent in place.  ``select`` then runs in the
-        parent with every frame's key, in input order, and returns the
+        The workers' shares (``_split``'s bounds over the live workers,
+        the parent's last) are copied into the frame segment once; each
+        worker is sent only where its frames lie, and the parent reads
+        its own share in place.  With ``select``, every lane first
+        hashes its own share with ``image_fingerprint``, and ``select``
+        gets every frame's key, in input order, and returns the
         ascending indices of the frames to score, or ``None`` to end the
-        call there.  Phase 2: every lane scores the selected frames in
-        its own share, the workers re-reading theirs from the slots
-        phase 1 wrote.
+        call.  Then every lane scores the selected frames in its own
+        share (all of them without ``select``).
 
-        Returns the selected frames' probabilities in ``select``'s
-        order (``None`` when it returned ``None``), bitwise equal to
-        :meth:`ad_probabilities` over those frames.  The call is in
-        flight across both phases and writes the segment once, before
-        phase 1, so nothing can overwrite a slot between the phases.
-        Either phase fails the way every call does: drained pipes and
-        one :class:`WorkerPoolError`.
+        Returns their probabilities in order, or ``None``; bitwise equal
+        to :meth:`predict_proba` over the preprocessed frames.  An empty
+        batch returns an empty vector without calling ``select``.
         """
         bitmaps = list(bitmaps)
         with self._dispatch():
+            if not bitmaps:
+                return np.empty(0, dtype=np.float32)
             self._sync_workers()
+            # split across the workers actually alive — a pool running
+            # degraded (deferred/exhausted respawns) still covers the
+            # whole batch, just across fewer processes — plus the parent;
+            # the first shares are the longer ones, so only trailing
+            # worker shares can be empty
             *shares, own = _split(range(len(bitmaps)), len(self._workers) + 1)
             shares = [share for share in shares if len(share)]
             name, layouts = self._copy_frames(
                 [bitmaps[share.start:share.stop] for share in shares]
             )
-            keys = self._scatter_gather(
-                [("fingerprint", name, layout) for layout in layouts],
-                lambda: [image_fingerprint(bitmaps[index]) for index in own],
-            )
-            selected = select([key for share_keys in keys for key in share_keys])
-            if selected is None:
-                return None
+            selected: Optional[Sequence[int]] = range(len(bitmaps))
+            if select is not None:
+                keys = self._scatter_gather(
+                    [("fingerprint", name, layout) for layout in layouts],
+                    lambda: [image_fingerprint(bitmaps[index]) for index in own],
+                )
+                selected = select([key for share_keys in keys for key in share_keys])
+                if selected is None:
+                    return None
             *picks, own_picks = [
                 [index for index in selected if index in share]
                 for share in (*shares, own)
@@ -596,58 +596,33 @@ class InferenceWorkerPool:
         finally:
             self._dispatching = False
 
-    def _sharded(
-        self,
-        items: _Items,
-        worker_messages: Callable[[List[_Items]], List[tuple]],
-        own_probabilities: Callable[[_Items], np.ndarray],
-    ) -> np.ndarray:
-        """One-phase call: P(ad) for ``items`` over every lane.
-
-        ``items`` is cut into contiguous shares with ``np.array_split``'s
-        bounds, one per live worker plus a last one the parent computes
-        (``own_probabilities``) while the workers run.
-        ``worker_messages`` turns the non-empty worker shares into one
-        ``(kind, *payload)`` request each; results are gathered in split
-        order, so they align one-to-one with ``items``.
-        """
-        with self._dispatch():
-            if not len(items):
-                return np.empty(0, dtype=np.float32)
-            self._sync_workers()
-            # split across the workers actually alive — a pool running
-            # degraded (deferred/exhausted respawns) still covers the
-            # whole batch, just across fewer processes — plus the parent;
-            # the first shares are the longer ones, so only trailing
-            # worker shares can be empty
-            *shares, own_share = _split(items, len(self._workers) + 1)
-            return _probabilities(
-                self._scatter_gather(
-                    worker_messages([share for share in shares if len(share)]),
-                    lambda: own_probabilities(own_share),
-                )
-            )
-
     def _scatter_gather(
-        self, messages: List[tuple], own: Callable[[], object]
+        self,
+        messages: List[tuple],
+        own: Callable[[], object],
+        workers: Optional[Sequence[_Worker]] = None,
     ) -> list:
-        """The one scatter/gather/drain loop behind every entry point
-        and every phase.
+        """The one scatter/gather/drain loop behind every entry point,
+        every phase and every publication.
 
-        Sends ``messages[i]`` (``(kind, *payload)``) to the i-th live
-        worker, runs ``own()`` (the parent's lane) while the workers
-        compute, then gathers the workers' results in order; returns
-        ``[*worker results, own()]``.  Runs inside :meth:`_dispatch`.
-        Raises :class:`WorkerPoolError` on worker death or timeout —
-        never a silently wrong result.  On any failure, the parent's
-        lane included, workers still holding an in-flight reply are
-        drained (or discarded when they cannot be), so one bad batch
-        never poisons the pipes, or the frame segment, for the next
-        call.
+        Sends ``messages[i]`` (``(kind, *payload)``, tagged here with a
+        fresh task id) to ``workers[i]`` (the live workers by default),
+        runs ``own()`` (the parent's lane) while the workers compute,
+        then gathers the workers' ``("result", task_id, payload)``
+        replies in order; returns ``[*payloads, own()]``.  Runs with no
+        other reply outstanding: inside :meth:`_dispatch`, or from a
+        publication.  Raises :class:`WorkerPoolError` on an ``error``
+        reply, worker death or timeout — never a silently wrong result.
+        On any failure, the parent's lane included, workers still
+        holding an in-flight reply are drained (or discarded when they
+        cannot be), so one bad batch never poisons the pipes, or the
+        frame segment, for the next call.
         """
         in_flight: List[_Worker] = []
         task_ids: List[int] = []
-        for worker, (kind, *payload) in zip(self._workers, messages):
+        if workers is None:
+            workers = self._workers
+        for worker, (kind, *payload) in zip(workers, messages):
             self._task_counter += 1
             task_id = self._task_counter
             try:
@@ -673,10 +648,10 @@ class InferenceWorkerPool:
                 self._discard_worker(worker)
                 self._drain(pending)
                 raise
-            if reply[0] == "result" and reply[1] == task_id:
+            if reply[:2] == ("result", task_id):
                 gathered.append(reply[2])
                 continue
-            if reply[0] == "error" and len(reply) == 3 and reply[1] == task_id:
+            if reply[:2] == ("error", task_id):
                 # clean failure: the worker consumed the task and its
                 # pipe stays in sync — only later workers need draining
                 self._drain(pending)
@@ -893,6 +868,12 @@ class InferenceWorkerPool:
     def _sync_workers(self) -> None:
         """Respawn dead workers; (re)send the plan to stale ones.
 
+        The plan goes only to the stale workers, through
+        :meth:`_scatter_gather` with nothing in the parent's lane, so a
+        publication fails and drains exactly as a batch does; a worker
+        whose reply was not gathered stays stale and is sent the plan
+        again on the next sync.
+
         Replacements are budgeted: a worker that died costs one unit of
         ``respawn_budget`` to replace, and consecutive replacement
         rounds back off exponentially (a deterministically-crashing
@@ -953,36 +934,15 @@ class InferenceWorkerPool:
             for worker in self._workers
             if worker.fingerprint != self._export.fingerprint
         ]
-        # as in a batch: on any failure, the stale workers still owing
-        # a reply are drained, so no "ready"/"error" is left in a pipe
-        # to desync the next call
-        sent: List[_Worker] = []
-        for worker in stale:
-            try:
-                worker.conn.send(("plan", self._export, self._segment.name))
-            except (BrokenPipeError, OSError) as exc:
-                self._drain(sent)
-                self._discard_worker(worker)
-                raise WorkerPoolError(
-                    f"worker died during weight publication: {exc}"
-                ) from exc
-            sent.append(worker)
-        for position, worker in enumerate(sent):
-            pending = sent[position + 1:]
-            try:
-                reply = self._recv(worker)
-            except WorkerPoolError:
-                self._discard_worker(worker)
-                self._drain(pending)
-                raise
-            if reply[0] == "ready" and reply[1] == self._export.fingerprint:
-                worker.fingerprint = reply[1]
-                continue
-            if reply[0] != "error":
-                # out-of-sync reply: this worker's pipe cannot be trusted
-                self._discard_worker(worker)
-            self._drain(pending)
-            raise WorkerPoolError(f"worker failed to build plan: {reply[-1]}")
+        if not stale:
+            return
+        fingerprints = self._scatter_gather(
+            [("plan", self._export, self._segment.name)] * len(stale),
+            lambda: None,
+            stale,
+        )
+        for worker, fingerprint in zip(stale, fingerprints):
+            worker.fingerprint = fingerprint
 
     def _drain(self, pending: Sequence[_Worker]) -> None:
         """Leave no poisoned pipes behind after a failed call.

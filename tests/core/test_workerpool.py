@@ -6,6 +6,8 @@ knob (``PERCIVAL_WORKERS=0``) must all degrade to the single-process
 fast path with identical verdicts.
 """
 
+import glob
+import itertools
 import multiprocessing as mp
 import os
 from multiprocessing import shared_memory
@@ -415,32 +417,35 @@ class TestBitmapPath:
 
 
 class TestKeylessTwoPhase:
-    """A keyless pooled ``decide_many``: every lane hashes its own
-    share, the memo is probed between the phases, and every lane scores
-    the misses in its own share — bitwise equal to the pool-less call
-    in keys, probabilities, ``from_cache``, ``classifications`` and
-    memo contents."""
+    """A pooled ``decide_many``, keyless and keyed.  Keyless: every lane
+    hashes its own share, the memo is probed between the phases, and
+    every lane scores the misses in its own share.  Keyed (the serve
+    fronts' path): the memo misses go to the lanes to score.  Either
+    way bitwise equal to the pool-less call in keys, probabilities,
+    ``from_cache``, ``classifications`` and memo order."""
 
     @staticmethod
-    def _compare(pool, classifier, frames, seeded=()):
+    def _compare(pool, classifier, frames, seeded=(), keyed=False):
         """Run ``frames`` through a pooled and a pool-less blocker whose
-        memos were seeded alike; returns the pooled call's phase count."""
+        memos were seeded alike, with precomputed keys when ``keyed``;
+        returns the request kinds of each pooled scatter."""
         pooled = PercivalBlocker(
             classifier, calibrated_latency_ms=1.0, pool=pool, shard_min_batch=1
         )
         reference = PercivalBlocker(classifier, calibrated_latency_ms=1.0)
         for blocker in (pooled, reference):
             blocker.decide_many(list(seeded))
+        keys = [image_fingerprint(frame) for frame in frames] if keyed else None
         phases = []
         scatter_gather = pool._scatter_gather
 
-        def counting(messages, own):
+        def counting(messages, own, workers=None):
             phases.append([message[0] for message in messages])
-            return scatter_gather(messages, own)
+            return scatter_gather(messages, own, workers)
 
         pool._scatter_gather = counting
         try:
-            got = pooled.decide_many(frames)
+            got = pooled.decide_many(frames, keys)
         finally:
             del pool._scatter_gather
         assert got == reference.decide_many(frames)
@@ -459,30 +464,37 @@ class TestKeylessTwoPhase:
     def test_duplicates_spanning_shares(self, untrained_classifier, workers):
         with InferenceWorkerPool(num_workers=workers) as pool:
             pool.publish(untrained_classifier)
-            for count in range(2 * workers + 2):
+            for count, keyed in itertools.product(
+                range(2 * workers + 2), (False, True)
+            ):
                 frames = _mixed_bitmaps(count, seed=count)
                 shares, own = self._shares(count, workers)
                 if len(own) and shares:
                     # the parent's last frame repeats the first worker's
                     # first frame (an equal copy, not the same object)
                     frames[own[-1]] = frames[0].copy()
-                phases = self._compare(pool, untrained_classifier, frames)
-                # an empty call is under shard_min_batch: no pool call
-                assert len(phases) == (2 if count else 0), count
-                if count:
-                    assert set(phases[0]) == {"fingerprint"}
-                    assert set(phases[1]) <= {"frames"}
+                phases = self._compare(
+                    pool, untrained_classifier, frames, keyed=keyed
+                )
+                # an empty call is under shard_min_batch: no pool call;
+                # a keyed one skips the hashing phase
+                hashing = [] if keyed else [{"fingerprint"}]
+                assert [set(phase) for phase in phases] == (
+                    hashing + [{"frames"}] if count else []
+                ), (count, keyed)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memo_hits_in_every_share(self, untrained_classifier, workers):
         with InferenceWorkerPool(num_workers=workers) as pool:
             pool.publish(untrained_classifier)
-            for count in range(2 * workers + 2):
+            for count, keyed in itertools.product(
+                range(2 * workers + 2), (False, True)
+            ):
                 frames = _mixed_bitmaps(count, seed=count + 40)
                 shares, own = self._shares(count, workers)
                 # the first frame of every lane's share is already known
                 seeded = [frames[share[0]] for share in (*shares, own) if len(share)]
-                self._compare(pool, untrained_classifier, frames, seeded)
+                self._compare(pool, untrained_classifier, frames, seeded, keyed)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_frame_hits_ends_after_hashing(
@@ -490,10 +502,16 @@ class TestKeylessTwoPhase:
     ):
         with InferenceWorkerPool(num_workers=workers) as pool:
             pool.publish(untrained_classifier)
-            for count in range(1, 2 * workers + 2):
+            for count, keyed in itertools.product(
+                range(1, 2 * workers + 2), (False, True)
+            ):
                 frames = _mixed_bitmaps(count, seed=count + 80)
-                phases = self._compare(pool, untrained_classifier, frames, frames)
-                assert phases == [["fingerprint"] * min(count, workers)], count
+                phases = self._compare(
+                    pool, untrained_classifier, frames, frames, keyed
+                )
+                # a keyed call with no misses never reaches the pool
+                expected = [] if keyed else [["fingerprint"] * min(count, workers)]
+                assert phases == expected, (count, keyed)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pooled_keys_equal_image_fingerprint(
@@ -505,14 +523,14 @@ class TestKeylessTwoPhase:
         seen = []
         with InferenceWorkerPool(num_workers=workers) as pool:
             pool.publish(untrained_classifier)
-            assert pool.fingerprint_and_score(frames, seen.append) is None
+            assert pool.ad_probabilities(frames, seen.append) is None
             assert not pool.dispatching
         assert seen == [[image_fingerprint(frame) for frame in frames]]
 
     def test_scores_only_the_selected_frames(self, pool, untrained_classifier):
         frames = _mixed_bitmaps(9, seed=12)
         selected = [0, 2, 3, 7, 8]
-        got = pool.fingerprint_and_score(frames, lambda keys: selected)
+        got = pool.ad_probabilities(frames, lambda keys: selected)
         expected = untrained_classifier.ad_probabilities(
             [frames[index] for index in selected]
         )
@@ -653,6 +671,39 @@ class TestFailureModes:
             assert pool.respawns == 0
             assert pool.alive_workers == 2
 
+    def test_corrupt_pipe_during_republication_falls_back_once(self, tmp_path):
+        """An out-of-sync reply to a plan fails the publication like a
+        batch: one fallback with reference verdicts, the worker is
+        discarded and replaced, and the next call is pooled and clean."""
+        segments_before = set(glob.glob("/dev/shm/psm_*"))
+        classifier = AdClassifier(PercivalConfig())
+        donor = AdClassifier(PercivalConfig(seed=5))
+        path = str(tmp_path / "donor.npz")
+        donor.save(path)
+        reference = PercivalBlocker(classifier, calibrated_latency_ms=1.0)
+        with InferenceWorkerPool(num_workers=2, timeout_s=10.0) as pool:
+            pool.publish(classifier)
+            blocker = PercivalBlocker(
+                classifier, calibrated_latency_ms=1.0, pool=pool, shard_min_batch=4
+            )
+            victim = pool._workers[0].process
+            assert pool.chaos_corrupt_pipe(0)
+            classifier.load(path)  # the next call re-publishes
+            frames = _mixed_bitmaps(8, seed=31)
+            assert blocker.decide_many(frames) == reference.decide_many(frames)
+            assert blocker.pool_fallbacks == 1
+            assert not victim.is_alive()
+            assert not pool.dispatching
+
+            later = _mixed_bitmaps(8, seed=32)
+            assert blocker.decide_many(later) == reference.decide_many(later)
+            assert blocker.pool_fallbacks == 1
+            assert pool.respawns == 1
+            assert pool.alive_workers == 2
+            assert victim not in [worker.process for worker in pool._workers]
+            assert pool.published_fingerprint == classifier.weights_fingerprint()
+        assert set(glob.glob("/dev/shm/psm_*")) <= segments_before
+
     def test_blocker_falls_back_on_closed_pool(self, untrained_classifier):
         pool = InferenceWorkerPool(num_workers=1)
         pool.publish(untrained_classifier)
@@ -678,7 +729,7 @@ class TestFailureModes:
             def predict_proba(self, batch):
                 raise AssertionError("predict_proba must not be called")
 
-            def ad_probabilities(self, bitmaps):
+            def ad_probabilities(self, bitmaps, select=None):
                 raise AssertionError("ad_probabilities must not be called")
 
         blocker = PercivalBlocker(

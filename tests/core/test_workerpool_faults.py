@@ -83,12 +83,12 @@ class _FailingPool:
     def publish(self, classifier):
         return self._pool.publish(classifier)
 
-    def ad_probabilities(self, bitmaps):
+    def ad_probabilities(self, bitmaps, select=None):
         self.calls += 1
         if self.failures_left > 0:
             self.failures_left -= 1
             raise WorkerPoolError("injected mid-batch failure")
-        return self._pool.ad_probabilities(bitmaps)
+        return self._pool.ad_probabilities(bitmaps, select)
 
 
 class TestWorkerDeathUnderServeLoop:
