@@ -15,8 +15,8 @@ Two families of kernels live here:
   cannot: a 1x1 convolution skips im2col entirely (reshape + batched
   GEMM — most of PercivalNet's FLOPs are 1x1 squeeze/expand convs), the
   general case unrolls receptive fields through a zero-copy
-  ``as_strided`` view, ReLU can be fused in-place into the GEMM output,
-  and callers may pass a reusable scratch buffer for the GEMM result.
+  ``as_strided`` view, and bias and ReLU run in place on the GEMM
+  output.  Each allocates its own result and never writes its input.
 
 All kernels take and return NCHW arrays.
 """
@@ -255,6 +255,17 @@ def relu_inplace(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
 
 
+def bias_relu_inplace(
+    x: np.ndarray, bias: np.ndarray, relu: bool
+) -> np.ndarray:
+    """Add a per-channel bias to an NCHW map in place, then optionally
+    ReLU it in place; returns ``x``."""
+    x += bias.reshape(-1, 1, 1)
+    if relu:
+        relu_inplace(x)
+    return x
+
+
 def pad2d(images: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes of an NCHW batch.
 
@@ -284,7 +295,7 @@ def sliding_windows(
 
     Returns a read-only ``(N, C, out_h, out_w, kh, kw)`` view — no data
     is moved (beyond the pad copy when ``pad > 0``).
-    :func:`conv2d_infer` gathers this view straight into its
+    :func:`conv2d_gemm` gathers this view straight into its
     batched-matmul layout; :func:`im2col_strided` reshapes it into the
     classic row-major im2col matrix.
     """
@@ -318,7 +329,7 @@ def im2col_strided(
     but replaces the python loop over kernel offsets with one reshape of
     the :func:`sliding_windows` view (a single fused copy).  Kept as
     the drop-in fast equivalent of :func:`im2col` for verification and
-    external callers; :func:`conv2d_infer` itself gathers windows into
+    external callers; :func:`conv2d_gemm` itself gathers windows into
     a batched-matmul layout instead (whole-row copy runs — faster).
     """
     windows = sliding_windows(images, kernel_h, kernel_w, stride, pad)
@@ -328,57 +339,40 @@ def im2col_strided(
     )
 
 
-def conv2d_scratch_shape(
-    input_shape: Tuple[int, int, int, int],
-    weight_shape: Tuple[int, int, int, int],
+def conv2d_gemm(
+    images: np.ndarray,
+    flat_weight: np.ndarray,
+    kernel_h: int,
+    kernel_w: int,
     stride: int,
     pad: int,
-) -> Tuple[int, ...]:
-    """Shape of the optional ``out`` scratch buffer of :func:`conv2d_infer`.
-
-    The 1x1 shortcut and the general window-contraction path write into
-    differently shaped buffers; callers that pool scratch memory ask
-    here instead of hard-coding the layout.
-    """
-    batch = input_shape[0]
-    out_channels, _, kernel_h, kernel_w = weight_shape
-    out_h = conv_output_size(input_shape[2], kernel_h, stride, pad)
-    out_w = conv_output_size(input_shape[3], kernel_w, stride, pad)
-    return (batch, out_channels, out_h * out_w)
-
-
-def conv1x1_infer(
-    images: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-    relu: bool = False,
     out: Optional[np.ndarray] = None,
-    flat_weight: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """1x1-convolution fast path: no im2col, just reshape + batched GEMM.
+) -> Tuple[np.ndarray, int, int]:
+    """A convolution without its bias: ``(result, out_h, out_w)``.
 
-    A 1x1 convolution is a per-pixel channel mix, i.e. one matrix
-    multiply ``(O, C) @ (C, H*W)`` per image; ``np.matmul`` broadcasts
-    it over the batch in a single BLAS call.  Most of PercivalNet's
-    FLOPs (squeeze/expand-1x1/classifier convs) take this path.
-    ``flat_weight`` optionally passes a precomputed ``(O, C)`` view of
-    the weights (compiled plans cache it per op).
+    ``result`` is the raw ``(N, O, out_h*out_w)`` map (written into
+    ``out`` when given): one ``(O, C*kh*kw) @ (C*kh*kw, out_h*out_w)``
+    GEMM of ``flat_weight`` per image, so no image's result depends on
+    the batch it runs in.  A 1x1 kernel skips im2col entirely: the
+    GEMM operand is a reshape of the (padded, strided) input — most of
+    PercivalNet's FLOPs are 1x1 squeeze/expand convs.  The general case
+    gathers the :func:`sliding_windows` view into ``(N, C*kh*kw,
+    out_h*out_w)``; the innermost copy runs are whole output rows, ~3x
+    faster than the row-major im2col gather.
     """
-    out_channels = weight.shape[0]
-    if flat_weight is None:
-        flat_weight = weight.reshape(out_channels, weight.shape[1])
-    images = pad2d(images, pad)
-    if stride > 1:
-        images = images[:, :, ::stride, ::stride]
-    batch, channels, out_h, out_w = images.shape
-    flat = images.reshape(batch, channels, out_h * out_w)
-    result = np.matmul(flat_weight, flat, out=out)
-    result += bias[:, None]
-    if relu:
-        relu_inplace(result)
-    return result.reshape(batch, out_channels, out_h, out_w)
+    if kernel_h == 1 and kernel_w == 1:
+        images = pad2d(images, pad)
+        if stride > 1:
+            images = images[:, :, ::stride, ::stride]
+        batch, channels, out_h, out_w = images.shape
+        cols = images.reshape(batch, channels, out_h * out_w)
+    else:
+        windows = sliding_windows(images, kernel_h, kernel_w, stride, pad)
+        batch, channels, out_h, out_w = windows.shape[:4]
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+            batch, channels * kernel_h * kernel_w, out_h * out_w
+        )
+    return np.matmul(flat_weight, cols, out=out), out_h, out_w
 
 
 def conv2d_infer(
@@ -388,42 +382,23 @@ def conv2d_infer(
     stride: int,
     pad: int,
     relu: bool = False,
-    out: Optional[np.ndarray] = None,
-    flat_weight: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Inference-only convolution: no cols retention, optional fusions.
+    """Inference-only convolution: no cols retention, optional ReLU.
 
     Matches :func:`conv2d_forward` numerically but returns only the
-    output.  1x1 kernels skip im2col entirely (reshape + batched GEMM).
-    The general case gathers the :func:`sliding_windows` view into
-    batched-matmul layout ``(N, C*kh*kw, oh*ow)`` — the innermost copy
-    runs are whole output rows, ~3x faster than the row-major im2col
-    gather — and contracts it against the flat weights in one broadcast
-    GEMM, leaving a contiguous NCHW output.  ``relu=True`` applies ReLU
-    in-place on the GEMM result (conv+ReLU fusion); ``out`` optionally
-    receives the GEMM result — its required shape comes from
-    :func:`conv2d_scratch_shape`; ``flat_weight`` optionally passes a
-    precomputed ``(O, C*kh*kw)`` view of the weights.  The returned
-    array may alias ``out``.
+    output: :func:`conv2d_gemm` leaves a contiguous NCHW map, the bias
+    is added in place and ``relu=True`` applies ReLU in place
+    (conv+ReLU fusion).
     """
-    out_channels, in_channels, kernel_h, kernel_w = weight.shape
-    if kernel_h == 1 and kernel_w == 1:
-        return conv1x1_infer(
-            images, weight, bias, stride, pad,
-            relu=relu, out=out, flat_weight=flat_weight,
-        )
-    windows = sliding_windows(images, kernel_h, kernel_w, stride, pad)
-    batch, _, out_h, out_w = windows.shape[:4]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
-        batch, in_channels * kernel_h * kernel_w, out_h * out_w
+    out_channels, _, kernel_h, kernel_w = weight.shape
+    result, out_h, out_w = conv2d_gemm(
+        images, weight.reshape(out_channels, -1),
+        kernel_h, kernel_w, stride, pad,
     )
-    if flat_weight is None:
-        flat_weight = weight.reshape(out_channels, -1)
-    result = np.matmul(flat_weight, cols, out=out)
-    result += bias[:, None]
-    if relu:
-        relu_inplace(result)
-    return result.reshape(batch, out_channels, out_h, out_w)
+    return bias_relu_inplace(
+        result.reshape(images.shape[0], out_channels, out_h, out_w),
+        bias, relu,
+    )
 
 
 def _window_tiles(
@@ -446,6 +421,18 @@ def _window_tiles(
                          offset_x:x_end:stride]
 
 
+def _max_of_taps(taps) -> np.ndarray:
+    """Elementwise max over strided views, into a fresh array.  The
+    first ``np.maximum`` allocates the (contiguous) result; later taps
+    accumulate into it in place."""
+    if len(taps) == 1:
+        return taps[0].copy()
+    result = np.maximum(taps[0], taps[1])
+    for tap in taps[2:]:
+        np.maximum(result, tap, out=result)
+    return result
+
+
 def maxpool2d_infer(
     images: np.ndarray, kernel: int, stride: int
 ) -> np.ndarray:
@@ -455,28 +442,21 @@ def maxpool2d_infer(
     k row taps reduce first (to the output rows, over the columns the
     windows cover) and the k column taps second: 2(k - 1)
     ``np.maximum`` calls instead of the k*k - 1 a per-window-offset
-    accumulation needs.  Max is exact, so the output is bitwise equal
+    accumulation needs — a 2x2/2 pool is exactly two, read straight
+    from strided views.  Max is exact, so the output is bitwise equal
     to the window-tile reduction.
     """
     out_h = conv_output_size(images.shape[2], kernel, stride, 0)
     out_w = conv_output_size(images.shape[3], kernel, stride, 0)
     width = stride * (out_w - 1) + kernel
-    rows: Optional[np.ndarray] = None
-    for offset in range(kernel):
-        tap = images[:, :, offset:offset + stride * out_h:stride, :width]
-        if rows is None:
-            rows = np.ascontiguousarray(tap)
-        else:
-            np.maximum(rows, tap, out=rows)
-    result: Optional[np.ndarray] = None
-    for offset in range(kernel):
-        tap = rows[:, :, :, offset:offset + stride * out_w:stride]
-        if result is None:
-            result = np.ascontiguousarray(tap)
-        else:
-            np.maximum(result, tap, out=result)
-    assert result is not None
-    return result
+    rows = _max_of_taps([
+        images[:, :, offset:offset + stride * out_h:stride, :width]
+        for offset in range(kernel)
+    ])
+    return _max_of_taps([
+        rows[:, :, :, offset:offset + stride * out_w:stride]
+        for offset in range(kernel)
+    ])
 
 
 def avgpool2d_infer(
@@ -492,3 +472,4 @@ def avgpool2d_infer(
     assert result is not None
     result /= kernel * kernel
     return result
+

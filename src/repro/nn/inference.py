@@ -7,19 +7,23 @@ eval mode, a plan:
 
 * never retains backward state (no im2col cols, no pool argmax, no
   ReLU masks),
-* fuses each ``Conv2d`` with a directly-following ``ReLU`` (the ReLU
-  runs in-place on the GEMM output),
+* fuses each ``Conv2d`` or ``FireModule`` with a directly-following
+  ``ReLU`` and ``MaxPool2d``: the pool runs on the raw GEMM output, and
+  the bias and ReLU then run in place on the quarter-size pooled map,
+* writes a Fire module's two expand GEMMs straight into the channel
+  halves of one output (no concatenation copy),
 * routes 1x1 convolutions through the reshape+GEMM shortcut and general
   convolutions through the zero-copy strided im2col,
 * elides ``Dropout`` and ``Identity`` entirely (both are no-ops in eval
-  mode),
-* reuses scratch buffers across calls, keyed on shape, so steady-state
-  inference stops allocating.
+  mode).
 
-Scratch safety relies on one invariant: every op writes only into its
-*own* buffers and reads its input from a *different* op's output, so no
-kernel ever writes a buffer it is reading.  The plan's return value is
-copied out of scratch when necessary — callers always own the result.
+A plan keeps no per-shape state: every op allocates its own output and
+never writes its input, so only the first op sees the caller's array
+and the caller owns whatever ``run`` returns.  Pooling before the bias
+and ReLU is bitwise equal to pooling after them — rounding ``a + b`` is
+monotone in ``a``, and max and ReLU are monotone — and every GEMM is
+one image's, so row *i* of a batch's logits never depends on the batch
+it ran in (see ``docs/inference.md``, *Allocation and fusion rules*).
 
 Plans hold *views* of each layer's ``Parameter.data``, captured at
 compile time.  In-place optimizer updates stay visible through the
@@ -40,7 +44,6 @@ them; the invalidation contract above covers this case too.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -66,55 +69,39 @@ class UnsupportedLayerError(TypeError):
     """Raised when the plan compiler meets a layer it cannot lower."""
 
 
-class ScratchCache:
-    """Per-op scratch buffers keyed on input shape *and* dtype.
+Pool = Optional[Tuple[int, int]]
 
-    Each op owns its cache exclusively, so a buffer handed out here can
-    never alias the op's input (which is always some *other* op's
-    output).  LRU-bounded so varying batch sizes cannot grow memory
-    without bound.  ``shape_fn`` computes the buffer shape only on a
-    cache miss — steady-state inference skips the geometry arithmetic.
-    The dtype is part of the cache key: a plan recompiled at a
-    different precision must never be handed a stale-dtype buffer for
-    the same shape.
+
+def _pool_bias_relu(
+    x: np.ndarray, bias: np.ndarray, relu: bool, pool: Pool
+) -> np.ndarray:
+    """Finish a raw (bias-free) GEMM map: max-pool it if a pool is
+    fused, then add the bias and ReLU in place on what remains.
+
+    Bitwise equal to bias -> ReLU -> pool: ``fl(a + b)`` is monotone in
+    ``a`` and ReLU is monotone, so both commute with a window's max
+    (ties and signed zeros included: a sum that rounds to zero is +0
+    unless ``a`` and ``b`` are both -0, and ReLU maps every
+    non-positive input to +0).
     """
+    if pool is not None:
+        x = F.maxpool2d_infer(x, *pool)
+    return F.bias_relu_inplace(x, bias, relu)
 
-    def __init__(self, capacity: int = 4) -> None:
-        self._buffers: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-        self._capacity = capacity
 
-    def take(self, key: Tuple[int, ...], shape_fn, dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        cache_key = (key, dtype.str)
-        buffer = self._buffers.get(cache_key)
-        if buffer is None:
-            buffer = np.empty(shape_fn(key), dtype=dtype)
-            self._buffers[cache_key] = buffer
-            if len(self._buffers) > self._capacity:
-                self._buffers.popitem(last=False)
-        else:
-            self._buffers.move_to_end(cache_key)
-        return buffer
+def _describe_pool(pool: Pool) -> str:
+    return "" if pool is None else f"+maxpool{pool[0]}/{pool[1]}"
 
 
 class InferenceOp:
     """One step of a compiled plan.
 
-    ``run`` receives the activation plus ``mutable`` — whether the
-    activation's storage belongs to the plan (safe to overwrite) or to
-    the caller (the plan's original input; must be preserved).  The two
-    class flags drive the plan's storage tracking:
-
-    * ``mutable_out`` — True if the op's output storage is plan-owned,
-      None if the op passes its input storage through unchanged.
-    * ``scratch_out`` — True if the output aliases a reusable scratch
-      buffer (the next ``run`` would overwrite it), None to inherit.
+    ``run`` never writes its input (the caller's array, for the plan's
+    first op); every op but ``Flatten`` (a reshape view) returns a
+    freshly allocated output.
     """
 
-    mutable_out: Optional[bool] = True
-    scratch_out: Optional[bool] = False
-
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -122,11 +109,12 @@ class InferenceOp:
 
 
 class ConvOp(InferenceOp):
-    """Convolution with optional fused ReLU, writing into scratch."""
+    """Convolution with its bias, an optional fused ReLU and an
+    optional fused max-pool (``pool`` = the pool's kernel and stride)."""
 
-    scratch_out = True
-
-    def __init__(self, conv: Conv2d, relu: bool, resolve=None) -> None:
+    def __init__(
+        self, conv: Conv2d, relu: bool, pool: Pool = None, resolve=None
+    ) -> None:
         # ``resolve`` maps a Parameter to the array the plan should
         # compute with: live ``Parameter.data`` by default (in-place
         # updates flow through; reassignment requires recompile —
@@ -139,69 +127,84 @@ class ConvOp(InferenceOp):
         self.bias = conv.bias.data if resolve is None else resolve(
             conv.bias
         )
+        self.kernel = conv.kernel_size
         self.stride = conv.stride
         self.padding = conv.padding
         self.relu = relu
+        self.pool = pool
         self.pointwise = conv.kernel_size == 1
-        self._scratch = ScratchCache()
         # view of the GEMM-shaped weights, captured at compile time
         self._flat_weight = self.weight.reshape(conv.out_channels, -1)
 
-    def _scratch_shape(self, input_shape: Tuple[int, ...]):
-        return F.conv2d_scratch_shape(
-            input_shape, self.weight.shape, self.stride, self.padding
+    def gemm(
+        self, x: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, int, int]:
+        """The convolution without its bias, as ``(N, O, out_h*out_w)``
+        (written into ``out`` when given), plus ``(out_h, out_w)``."""
+        return F.conv2d_gemm(
+            x, self._flat_weight, self.kernel, self.kernel,
+            self.stride, self.padding, out=out,
         )
 
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
-        weight = self.weight
-        scratch = self._scratch.take(
-            x.shape, self._scratch_shape, weight.dtype
-        )
-        return F.conv2d_infer(
-            x, weight, self.bias, self.stride, self.padding,
-            relu=self.relu, out=scratch, flat_weight=self._flat_weight,
-        )
+    def run(self, x: np.ndarray) -> np.ndarray:
+        result, out_h, out_w = self.gemm(x)
+        result = result.reshape(*result.shape[:2], out_h, out_w)
+        return _pool_bias_relu(result, self.bias, self.relu, self.pool)
 
     def describe(self) -> str:
         kind = "conv1x1[gemm]" if self.pointwise else "conv[im2col]"
-        return f"{kind}+relu" if self.relu else kind
+        if self.relu:
+            kind += "+relu"
+        return kind + _describe_pool(self.pool)
 
 
 class FireOp(InferenceOp):
-    """Fire module: squeeze -> [expand1x1 || expand3x3] -> concat.
+    """Fire module: squeeze -> [expand1x1 || expand3x3] -> ReLU, with an
+    optional fused max-pool.
 
-    All three ReLUs are fused into their convolutions — the module's
-    post-concat ReLU distributes over concatenation, so it runs on each
-    expand half in place before the copy into the concat output.
+    Both expand GEMMs write straight into their channel halves of one
+    output, and the module's post-concat ReLU runs once over it, with
+    the two halves' biases (after the pool, when one is fused).
     """
 
-    def __init__(self, fire: FireModule, resolve=None) -> None:
+    def __init__(
+        self, fire: FireModule, pool: Pool = None, resolve=None
+    ) -> None:
         self.squeeze = ConvOp(fire.squeeze, relu=True, resolve=resolve)
         self.expand1x1 = ConvOp(fire.expand1x1, relu=True, resolve=resolve)
         self.expand3x3 = ConvOp(fire.expand3x3, relu=True, resolve=resolve)
+        self.pool = pool
+        self._half = fire.expand1x1.out_channels
 
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
-        squeezed = self.squeeze.run(x, mutable)
-        left = self.expand1x1.run(squeezed, True)
-        right = self.expand3x3.run(squeezed, True)
-        return np.concatenate([left, right], axis=1)
+    def run(self, x: np.ndarray) -> np.ndarray:
+        squeezed = self.squeeze.run(x)
+        batch, _, height, width = squeezed.shape
+        half = self._half
+        out = np.empty(
+            (batch, 2 * half, height * width), dtype=squeezed.dtype
+        )
+        self.expand1x1.gemm(squeezed, out=out[:, :half])
+        self.expand3x3.gemm(squeezed, out=out[:, half:])
+        # joined per run, not at compile, so in-place updates of the
+        # live bias parameters still reach the plan
+        bias = np.concatenate((self.expand1x1.bias, self.expand3x3.bias))
+        return _pool_bias_relu(
+            out.reshape(batch, 2 * half, height, width),
+            bias, True, self.pool,
+        )
 
     def describe(self) -> str:
         return (
             f"fire({self.squeeze.describe()} -> "
             f"{self.expand1x1.describe()} || {self.expand3x3.describe()})"
+            + _describe_pool(self.pool)
         )
 
 
 class ReluOp(InferenceOp):
-    """Standalone ReLU: in-place when the activation is plan-owned."""
+    """Standalone ReLU (one not fused into a convolution)."""
 
-    mutable_out = True
-    scratch_out = None  # in-place: inherits the input's storage class
-
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
-        if mutable:
-            return F.relu_inplace(x)
+    def run(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(x, 0.0)
 
     def describe(self) -> str:
@@ -209,11 +212,13 @@ class ReluOp(InferenceOp):
 
 
 class MaxPoolOp(InferenceOp):
+    """Standalone max-pool (one not fused into a convolution)."""
+
     def __init__(self, kernel: int, stride: int) -> None:
         self.kernel = kernel
         self.stride = stride
 
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         return F.maxpool2d_infer(x, self.kernel, self.stride)
 
     def describe(self) -> str:
@@ -225,7 +230,7 @@ class AvgPoolOp(InferenceOp):
         self.kernel = kernel
         self.stride = stride
 
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         return F.avgpool2d_infer(x, self.kernel, self.stride)
 
     def describe(self) -> str:
@@ -233,18 +238,19 @@ class AvgPoolOp(InferenceOp):
 
 
 class GlobalAvgPoolOp(InferenceOp):
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
-        return x.mean(axis=(2, 3), dtype=x.dtype)
+    def run(self, x: np.ndarray) -> np.ndarray:
+        # np.mean(axis=(2, 3))'s own arithmetic (add.reduce, then a
+        # divide) without its per-call Python overhead
+        total = np.add.reduce(x, axis=(2, 3))
+        total /= x.shape[2] * x.shape[3]
+        return total
 
     def describe(self) -> str:
         return "gap"
 
 
 class FlattenOp(InferenceOp):
-    mutable_out = None  # reshape view: inherits the input's storage
-    scratch_out = None
-
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
     def describe(self) -> str:
@@ -261,7 +267,7 @@ class LinearOp(InferenceOp):
         )
         self.relu = relu
 
-    def run(self, x: np.ndarray, mutable: bool) -> np.ndarray:
+    def run(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
         out += self.bias
         if self.relu:
@@ -273,7 +279,7 @@ class LinearOp(InferenceOp):
 
 
 class InferencePlan:
-    """A compiled, cache-free execution schedule for one network.
+    """A compiled, state-free execution schedule for one network.
 
     ``run`` never touches the layers' backward caches, activation
     capture, or training flags — it is safe to interleave with training
@@ -286,20 +292,9 @@ class InferencePlan:
         self.name = name
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        out = x
-        mutable = False   # the caller's input: never overwrite
-        scratch = False   # aliases a reusable buffer: never return as-is
         for op in self.ops:
-            out = op.run(out, mutable)
-            if op.mutable_out is not None:
-                mutable = op.mutable_out
-            if op.scratch_out is not None:
-                scratch = op.scratch_out
-        if scratch:
-            # never hand a scratch view to the caller: the next run
-            # would silently overwrite it.
-            out = out.copy()
-        return out
+            x = op.run(x)
+        return x
 
     __call__ = run
 
@@ -321,6 +316,15 @@ def _flatten_layers(network: Sequential) -> Iterable[Layer]:
             yield from _flatten_layers(layer)
         else:
             yield layer
+
+
+def _fused_pool(layers: List[Layer], index: int) -> Tuple[Pool, int]:
+    """``((kernel, stride), index + 1)`` if ``layers[index]`` is a
+    max-pool to fuse into the op before it, else ``(None, index)``."""
+    if index < len(layers) and isinstance(layers[index], MaxPool2d):
+        pool = layers[index]
+        return (pool.kernel_size, pool.stride), index + 1
+    return None, index
 
 
 def compile_inference(
@@ -346,16 +350,16 @@ def compile_inference(
         if isinstance(layer, (Dropout, Identity)):
             index += 1  # no-ops in eval mode: elided
         elif isinstance(layer, Conv2d):
-            fused = isinstance(nxt, ReLU)
-            ops.append(ConvOp(layer, relu=fused, resolve=resolve))
-            index += 2 if fused else 1
+            relu = isinstance(nxt, ReLU)
+            pool, index = _fused_pool(layers, index + (2 if relu else 1))
+            ops.append(ConvOp(layer, relu=relu, pool=pool, resolve=resolve))
         elif isinstance(layer, Linear):
             fused = isinstance(nxt, ReLU)
             ops.append(LinearOp(layer, relu=fused, resolve=resolve))
             index += 2 if fused else 1
         elif isinstance(layer, FireModule):
-            ops.append(FireOp(layer, resolve=resolve))
-            index += 1
+            pool, index = _fused_pool(layers, index + 1)
+            ops.append(FireOp(layer, pool=pool, resolve=resolve))
         elif isinstance(layer, ReLU):
             ops.append(ReluOp())
             index += 1

@@ -501,8 +501,8 @@ class AsyncServeFront:
     backpressure is the caller's signal.
 
     Batch compute runs inline on the event-loop thread, one batch at a
-    time: the blocker's scratch buffers and the worker pool's dispatch
-    are not reentrant, so real compute parallelism belongs to the
+    time: the blocker's memo and the worker pool's dispatch are not
+    reentrant, so real compute parallelism belongs to the
     pool's worker processes (and, in simulation, to
     :class:`ServeLoop`'s lanes).
     """

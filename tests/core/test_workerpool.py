@@ -6,6 +6,7 @@ knob (``PERCIVAL_WORKERS=0``) must all degrade to the single-process
 fast path with identical verdicts.
 """
 
+import gc
 import glob
 import itertools
 import multiprocessing as mp
@@ -776,6 +777,40 @@ class TestTeardown:
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_pool_cycles_leak_no_descriptors(self, untrained_classifier):
+        """create -> publish -> ad_probabilities -> close, five times
+        (one with a killed worker the next call respawns), must leave
+        the process holding exactly the descriptors it held before.  A
+        pipe left open is otherwise invisible: nothing fails until the
+        process runs out of descriptors."""
+
+        def cycle(kill: bool) -> None:
+            pool = InferenceWorkerPool(num_workers=2, timeout_s=10.0)
+            try:
+                pool.publish(untrained_classifier)
+                if kill:
+                    victim = pool._workers[0].process
+                    victim.terminate()
+                    victim.join()
+                pool.ad_probabilities(_bitmaps(6))
+                if kill:
+                    assert pool.respawns == 1
+            finally:
+                pool.close()
+
+        def open_descriptors() -> int:
+            gc.collect()
+            return len(os.listdir("/proc/self/fd"))
+
+        cycle(kill=False)  # first use starts the shared-memory tracker
+        before = open_descriptors()
+        for index in range(5):
+            cycle(kill=index == 2)
+        assert open_descriptors() <= before
 
 
 class TestResize:

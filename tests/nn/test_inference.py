@@ -20,6 +20,7 @@ from repro.nn import (
     Identity,
     Layer,
     Linear,
+    MaxPool2d,
     ReLU,
     Sequential,
     UnsupportedLayerError,
@@ -27,7 +28,6 @@ from repro.nn import (
     compile_inference,
 )
 from repro.nn import functional as F
-from repro.nn.inference import ScratchCache
 from repro.utils.rng import spawn_rng
 
 #: kernel, stride, pad, (H, W) — odd sizes included on purpose.
@@ -77,21 +77,8 @@ class TestConvKernelEquivalence:
         weight = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
         reference, _ = F.conv2d_forward(x, weight, bias, stride, pad)
-        fast = F.conv1x1_infer(x, weight, bias, stride, pad)
+        fast = F.conv2d_infer(x, weight, bias, stride, pad)
         assert np.abs(reference - fast).max() < 1e-5
-
-    def test_scratch_buffer_reused(self, rng):
-        x = rng.standard_normal((1, 3, 8, 8)).astype(np.float32)
-        weight = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
-        bias = np.zeros(5, dtype=np.float32)
-        scratch = np.empty(
-            F.conv2d_scratch_shape(x.shape, weight.shape, 1, 1),
-            dtype=np.float32,
-        )
-        out = F.conv2d_infer(x, weight, bias, 1, 1, out=scratch)
-        assert np.shares_memory(out, scratch)
-        reference, _ = F.conv2d_forward(x, weight, bias, 1, 1)
-        assert np.abs(reference - out).max() < 1e-5
 
 
 class TestIm2ColStrided:
@@ -216,8 +203,9 @@ class TestPlanCompiler:
         plan.run(x)
         assert np.array_equal(x, snapshot)
 
-    def test_output_does_not_alias_scratch(self, rng):
-        # a plan ending in a conv must copy its result out of scratch
+    def test_output_survives_the_next_run(self, rng):
+        # every op allocates its output: a later run never overwrites
+        # an array an earlier run returned
         network = Sequential([Conv2d(2, 3, kernel_size=1, name="c")])
         network.eval()
         plan = compile_inference(network)
@@ -238,31 +226,6 @@ class TestPlanCompiler:
         after = plan.run(x)
         assert not np.array_equal(before, after)
         assert np.abs(network.forward(x) - after).max() < 1e-5
-
-
-class TestScratchCache:
-    """Regression: buffers must be keyed on dtype as well as shape —
-    a plan recompiled at another precision must never be handed a
-    stale-dtype scratch buffer."""
-
-    def test_dtype_is_part_of_the_key(self):
-        cache = ScratchCache()
-        shape_fn = lambda key: key  # noqa: E731
-        f32 = cache.take((2, 3), shape_fn, np.float32)
-        f64 = cache.take((2, 3), shape_fn, np.float64)
-        assert f32.dtype == np.float32
-        assert f64.dtype == np.float64
-        assert f32 is not f64
-        # same shape+dtype still reuses the buffer
-        assert cache.take((2, 3), shape_fn, np.float32) is f32
-
-    def test_lru_capacity_counts_dtype_variants(self):
-        cache = ScratchCache(capacity=2)
-        shape_fn = lambda key: key  # noqa: E731
-        first = cache.take((4,), shape_fn, np.float32)
-        cache.take((4,), shape_fn, np.float64)
-        cache.take((5,), shape_fn, np.float32)  # evicts the oldest
-        assert cache.take((4,), shape_fn, np.float32) is not first
 
 
 class TestArtifactCompilation:
@@ -372,3 +335,161 @@ class TestDtypeStability:
         fast = plan.run(x)
         assert fast.dtype == np.float32
         assert np.abs(reference - fast).max() < 1e-5
+
+
+def _bits(array: np.ndarray) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def _percivalnet_with_biases(rng):
+    """The reduced PercivalNet with nonzero biases (they initialize to
+    zero, which would hide a bias applied in the wrong place)."""
+    network = PercivalNet.small()
+    network.eval()
+    for param in network.parameters():
+        if param.name.endswith(".bias"):
+            param.data[:] = rng.standard_normal(param.data.shape) * 0.1
+    return network
+
+
+def _precision_plans(network):
+    """(precision, resolve, plan) at every storage precision; ``resolve``
+    maps a Parameter to the array the plan computes with."""
+    for precision in ("fp32", "fp16", "int8"):
+        if precision == "fp32":
+            yield precision, (lambda param: param.data), compile_inference(
+                network
+            )
+        else:
+            artifact = WeightArtifact.from_network(network, precision)
+            yield precision, artifact.bind(network), compile_inference(
+                network, artifact=artifact
+            )
+
+
+def _unfused(network, resolve, x):
+    """Op-by-op oracle from the ``functional`` kernels, in layer order:
+    every bias and ReLU before the pool after it, each Fire module's
+    expand halves concatenated, GAP through ``np.mean``."""
+
+    def conv(layer, x):
+        return F.conv2d_infer(
+            x, resolve(layer.weight), resolve(layer.bias),
+            layer.stride, layer.padding,
+        )
+
+    for layer in network.layers:
+        if isinstance(layer, Conv2d):
+            x = conv(layer, x)
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+        elif isinstance(layer, MaxPool2d):
+            x = F.maxpool2d_infer(x, layer.kernel_size, layer.stride)
+        elif isinstance(layer, FireModule):
+            squeezed = np.maximum(conv(layer.squeeze, x), 0.0)
+            x = np.maximum(np.concatenate(
+                [conv(layer.expand1x1, squeezed),
+                 conv(layer.expand3x3, squeezed)], axis=1,
+            ), 0.0)
+        elif isinstance(layer, GlobalAvgPool2d):
+            x = x.mean(axis=(2, 3), dtype=x.dtype)
+        else:
+            raise AssertionError(f"oracle cannot run {layer!r}")
+    return x
+
+
+def _edge_batch(rng, count, channels=4, size=32):
+    """Random frames plus the values the pool-before-bias reorder must
+    survive: an all -0.0 frame, tied window maxima, +-0 mixes and NaN."""
+    x = rng.standard_normal((count, channels, size, size)).astype(
+        np.float32
+    )
+    x[1] = -0.0
+    x[2, :, 1::2] = x[2, :, :-1:2]          # every vertical pair tied
+    x[3, :, :, 1::2] = x[3, :, :, :-1:2]    # every horizontal pair tied
+    x[4, :, ::2, ::2] = -0.0
+    x[4, :, 1::2, 1::2] = 0.0
+    x[5, 0, 3, 3] = np.nan
+    return x
+
+
+class TestBatchInvariance:
+    """The serving gates compare verdicts bitwise against a reference
+    scored in 64-frame chunks, so row i of a plan's logits must not
+    depend on the batch it ran in."""
+
+    def test_rows_equal_alone_in_odd_batches_and_chunks(self, rng):
+        network = _percivalnet_with_biases(rng)
+        frames = 67
+        x = rng.standard_normal((frames, 4, 32, 32)).astype(np.float32)
+        for precision, _, plan in _precision_plans(network):
+            alone = [_bits(plan.run(x[i:i + 1])) for i in range(frames)]
+            for chunk in (1, 2, 3, 5, 8, 16, 64, frames):
+                rows = np.concatenate([
+                    plan.run(x[start:start + chunk])
+                    for start in range(0, frames, chunk)
+                ])
+                assert [_bits(row) for row in rows] == alone, (
+                    precision, chunk,
+                )
+
+
+class TestFusedPlanOracle:
+    """Pool-before-bias/ReLU, the single-pass Fire output and the GAP
+    reduction are bitwise equal to running every layer on its own."""
+
+    def test_percivalnet_plan_equals_unfused_oracle(self, rng):
+        network = _percivalnet_with_biases(rng)
+        plan = compile_inference(network)
+        # Conv+ReLU+pool and Fire+pool fuse; the pools vanish as ops
+        kinds = [op.describe() for op in plan.ops]
+        assert kinds[0] == "conv[im2col]+relu+maxpool2/2"
+        assert not any(kind.startswith("maxpool") for kind in kinds)
+        assert sum("+maxpool" in kind for kind in kinds) == 4
+        x = _edge_batch(rng, 9)
+        for precision, resolve, plan in _precision_plans(network):
+            fused = plan.run(x)
+            oracle = _unfused(network, resolve, x)
+            assert fused.dtype == oracle.dtype == np.float32
+            assert _bits(fused) == _bits(oracle), precision
+            assert np.isnan(fused[5]).all() and not np.isnan(fused[:5]).any()
+
+    def test_signed_zero_ties_and_nan_through_fused_pool(self):
+        """One-tap 1x1 convolutions make the GEMM output an exact copy
+        of the input times +-1, so -0.0, +0.0, NaN and tied maxima reach
+        the fused pool as they are, and biases of +-0 keep or drop the
+        sign of a zero."""
+        conv = Conv2d(1, 4, kernel_size=1, name="c")
+        conv.weight.data[:] = np.array([1.0, -1.0, 1.0, -1.0]).reshape(
+            4, 1, 1, 1
+        )
+        conv.bias.data[:] = np.array([-0.0, 0.0, 0.0, -0.0])
+        values = np.array(
+            [-0.0, 0.0, 0.0, -0.0, np.nan, 1.0, 1.0, -2.0,
+             -1.0, -0.0, 3.0, 3.0, -0.0, -0.0, 0.0, np.nan],
+            dtype=np.float32,
+        )
+        x = np.stack([values.reshape(1, 4, 4), values[::-1].reshape(1, 4, 4)])
+        for relu in (True, False):
+            layers = [conv] + ([ReLU()] if relu else [])
+            network = Sequential(layers + [MaxPool2d(2, 2)])
+            network.eval()
+            plan = compile_inference(network)
+            assert len(plan) == 1
+            oracle = _unfused(network, lambda param: param.data, x)
+            assert _bits(plan.run(x)) == _bits(oracle), relu
+
+    def test_fire_with_pool_and_gap_equal_oracle(self, rng):
+        fire = FireModule(6, 3, 8, rng=spawn_rng(0, "fire"))
+        for param in fire.parameters():
+            if param.name.endswith(".bias"):
+                param.data[:] = rng.standard_normal(param.data.shape)
+        network = Sequential([fire, MaxPool2d(2, 2), GlobalAvgPool2d()])
+        network.eval()
+        plan = compile_inference(network)
+        assert [op.describe().split("(")[0] for op in plan.ops] == [
+            "fire", "gap",
+        ]
+        x = _edge_batch(rng, 6, channels=6, size=9)
+        oracle = _unfused(network, lambda param: param.data, x)
+        assert _bits(plan.run(x)) == _bits(oracle)
