@@ -106,7 +106,7 @@ def test_sharded_throughput(reference_classifier, report_table, bench_record):
             pool.predict_proba(batch)
         serial_times, sharded_times = interleaved_samples_ms(
             [
-                lambda: classifier.predict_proba_tensor(batch, batch_size=BATCH),
+                lambda: classifier.predict_proba_tensor(batch),
                 lambda: pool.predict_proba(batch),
             ],
             rounds,

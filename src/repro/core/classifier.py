@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +122,12 @@ class AdClassifier:
     # Compiled fast path
     # ------------------------------------------------------------------
     @property
+    def input_shape(self) -> Tuple[int, int, int]:
+        """One preprocessed frame's ``(C, H, W)``."""
+        size = self.config.input_size
+        return (self.config.in_channels, size, size)
+
+    @property
     def inference_plan(self) -> Optional[InferencePlan]:
         """The compiled eval-mode plan (None if the network contains a
         layer the compiler cannot lower — scoring then falls back to the
@@ -140,7 +146,9 @@ class AdClassifier:
                     if candidate.precision != FP32:
                         artifact = candidate
                 self._plan = compile_inference(
-                    self.network, artifact=artifact
+                    self.network,
+                    artifact=artifact,
+                    input_shape=self.input_shape,
                 )
             except UnsupportedLayerError:
                 self._plan_supported = False
@@ -407,39 +415,29 @@ class AdClassifier:
         """Thresholded verdict for one bitmap."""
         return self.ad_probability(bitmap) >= self.config.ad_threshold
 
-    def ad_probabilities(
-        self, bitmaps: Sequence[np.ndarray], batch_size: int = 64
-    ) -> np.ndarray:
+    def ad_probabilities(self, bitmaps: Sequence[np.ndarray]) -> np.ndarray:
         """P(ad) for a sequence of bitmaps (batched)."""
         batch = preprocess_batch(bitmaps, self.config.input_size)
-        return self.predict_proba_tensor(batch, batch_size)
+        return self.predict_proba_tensor(batch)
 
     def predict_proba_tensor(
-        self,
-        tensors: np.ndarray,
-        batch_size: int = 64,
-        fast_path: bool = True,
+        self, tensors: np.ndarray, fast_path: bool = True
     ) -> np.ndarray:
         """P(ad) for an already-preprocessed NCHW batch.
 
-        ``fast_path=False`` forces the reference layer-by-layer forward
-        (used by the equivalence tests and benchmarks).
+        The compiled plan cuts the batch into its own cache-sized
+        chunks.  ``fast_path=False`` forces the reference layer-by-layer
+        forward over the whole batch (used by the equivalence tests and
+        benchmarks).
         """
-        probs: List[np.ndarray] = []
-        for start in range(0, tensors.shape[0], batch_size):
-            logits = self._forward_eval(
-                tensors[start:start + batch_size], fast_path=fast_path
-            )
-            probs.append(softmax(logits, axis=1)[:, LABEL_AD])
-        if not probs:
+        if not tensors.shape[0]:
             return np.empty(0, dtype=np.float32)
-        return np.concatenate(probs)
+        logits = self._forward_eval(tensors, fast_path=fast_path)
+        return softmax(logits, axis=1)[:, LABEL_AD]
 
-    def predict_tensor(
-        self, tensors: np.ndarray, batch_size: int = 64
-    ) -> np.ndarray:
+    def predict_tensor(self, tensors: np.ndarray) -> np.ndarray:
         """Thresholded 0/1 predictions for a preprocessed batch."""
-        probabilities = self.predict_proba_tensor(tensors, batch_size)
+        probabilities = self.predict_proba_tensor(tensors)
         return (probabilities >= self.config.ad_threshold).astype(np.int64)
 
     # ------------------------------------------------------------------

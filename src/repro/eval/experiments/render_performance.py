@@ -13,9 +13,13 @@ and Brave's much faster baseline (list-blocking removes ad resources
 relative penalty.
 
 The per-image classification cost on the virtual clock is the paper's
-measured 11 ms by default — our numpy substrate's own latency is an
-artifact of the interpreter, not of the deployed C++/optimized model —
-but callers can pass the locally measured value instead.
+measured 11 ms by default, so the overheads compare against the paper
+under its own calibration; callers can pass a locally measured value
+instead.  The table reports, next to that constant, the measured
+latency of one 224x224x4 frame through this repository's compiled plan
+of the paper-size network (b1, the deployment's per-frame case): on a
+current server core it lands near the paper's 11 ms, so the constant
+is no longer an order of magnitude away from what the substrate runs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.browser.renderer import BRAVE, CHROMIUM, Renderer
 from repro.core.blocker import PercivalBlocker
 from repro.core.classifier import AdClassifier
 from repro.core.modelstore import get_reference_classifier
+from repro.eval.experiments.model_profile import paper_plan_latency_ms
 from repro.eval.reporting import paper_vs_measured
 from repro.synth.webgen import SyntheticWeb, WebConfig, url_registry
 
@@ -74,6 +79,8 @@ class RenderPerformanceResult:
     series: Dict[str, RenderSeries]
     pages: int
     calibrated_latency_ms: float
+    #: measured b1 latency of the 224 px compiled plan (ms)
+    plan_latency_ms: float
 
     def overhead(self, base: str, treatment: str) -> tuple:
         """(delta_ms, delta_pct) of medians between two series."""
@@ -96,6 +103,10 @@ class RenderPerformanceResult:
             ("Brave overhead (%)", PAPER["brave_overhead_pct"], brave_pct),
             ("Chromium median (ms)", "-", self.series["chromium"].median_ms),
             ("Brave median (ms)", "-", self.series["brave"].median_ms),
+            ("per-image cost on the virtual clock (ms)", PAPER_LATENCY_MS,
+             self.calibrated_latency_ms),
+            ("224 px compiled plan b1, measured (ms)", PAPER_LATENCY_MS,
+             self.plan_latency_ms),
         ]
         return paper_vs_measured(
             "Figure 15: render overhead (medians over "
@@ -135,6 +146,7 @@ def run_render_performance_experiment(
     result = RenderPerformanceResult(
         series={}, pages=len(pages),
         calibrated_latency_ms=calibrated_latency_ms,
+        plan_latency_ms=paper_plan_latency_ms(),
     )
     configurations = (
         ("chromium", CHROMIUM, False),

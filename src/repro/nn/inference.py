@@ -17,13 +17,19 @@ eval mode, a plan:
 * elides ``Dropout`` and ``Identity`` entirely (both are no-ops in eval
   mode).
 
-A plan keeps no per-shape state: every op allocates its own output and
-never writes its input, so only the first op sees the caller's array
-and the caller owns whatever ``run`` returns.  Pooling before the bias
-and ReLU is bitwise equal to pooling after them — rounding ``a + b`` is
-monotone in ``a``, and max and ReLU are monotone — and every GEMM is
-one image's, so row *i* of a batch's logits never depends on the batch
-it ran in (see ``docs/inference.md``, *Allocation and fusion rules*).
+A plan keeps no per-shape buffers: every op allocates its own output
+and never writes its input, so only the first op sees the caller's
+array and the caller owns whatever ``run`` returns.  What a plan does
+keep per input shape is geometry — output extents, pool index tuples,
+and ``chunk``, the number of images ``run`` pushes through the op
+list at once, sized so the largest op's working set fits
+:data:`CHUNK_BYTES`.
+
+Pooling before the bias and ReLU is bitwise equal to pooling after
+them — rounding ``a + b`` is monotone in ``a``, and max and ReLU are
+monotone — and every GEMM is one image's, so row *i* of a batch's
+logits never depends on the batch or chunk it ran in (see
+``docs/inference.md``, *Allocation and fusion rules*).
 
 Plans hold *views* of each layer's ``Parameter.data``, captured at
 compile time.  In-place optimizer updates stay visible through the
@@ -70,13 +76,47 @@ class UnsupportedLayerError(TypeError):
 
 
 Pool = Optional[Tuple[int, int]]
+#: one image's shape: ``(C, H, W)`` for a map, ``(features,)`` after
+#: a flatten
+Shape = Tuple[int, ...]
+
+#: Bytes the largest op of a plan may touch per chunk: its input, pad
+#: copy, im2col columns, GEMM map and pool rows, summed over the
+#: chunk's images.  ``InferencePlan.run`` cuts every batch into chunks
+#: of ``plan.chunk = CHUNK_BYTES // (largest per-image working set)``
+#: images (at least one): 35 at 32 px, 1 at 224 px.  Per-image time
+#: rises once that working set passes ~10-16 MB at both model sizes;
+#: see ``docs/inference.md``, *Allocation and fusion rules*.
+CHUNK_BYTES = 10 << 20
+
+_ITEMSIZE = np.dtype(np.float32).itemsize
 
 
-def _pool_bias_relu(
-    x: np.ndarray, bias: np.ndarray, relu: bool, pool: Pool
+def _size(shape: Shape) -> int:
+    return int(np.prod(shape))
+
+
+def _bind_pool(pool: Pool, channels: int, height: int, width: int):
+    """``(taps, out_shape, elements)`` of a fused max-pool over one
+    ``channels`` x ``height`` x ``width`` map: its index tuples, its
+    output shape and the elements of its row and output maps."""
+    if pool is None:
+        return None, (channels, height, width), 0
+    kernel, stride = pool
+    taps = F.maxpool_taps(kernel, stride, height, width)
+    out_h = F.conv_output_size(height, kernel, stride, 0)
+    out_w = F.conv_output_size(width, kernel, stride, 0)
+    span = stride * (out_w - 1) + kernel
+    elements = channels * out_h * (span + out_w)
+    return taps, (channels, out_h, out_w), elements
+
+
+def _finish(
+    x: np.ndarray, taps, bias: np.ndarray, relu: bool
 ) -> np.ndarray:
-    """Finish a raw (bias-free) GEMM map: max-pool it if a pool is
-    fused, then add the bias and ReLU in place on what remains.
+    """Finish a raw (bias-free) GEMM map: max-pool it through ``taps``
+    if a pool is fused, then add the bias (a ``(C, 1, 1)`` view) and
+    ReLU in place on what remains.
 
     Bitwise equal to bias -> ReLU -> pool: ``fl(a + b)`` is monotone in
     ``a`` and ReLU is monotone, so both commute with a window's max
@@ -84,9 +124,12 @@ def _pool_bias_relu(
     unless ``a`` and ``b`` are both -0, and ReLU maps every
     non-positive input to +0).
     """
-    if pool is not None:
-        x = F.maxpool2d_infer(x, *pool)
-    return F.bias_relu_inplace(x, bias, relu)
+    if taps is not None:
+        x = F.maxpool_by_taps(x, *taps)
+    x += bias
+    if relu:
+        F.relu_inplace(x)
+    return x
 
 
 def _describe_pool(pool: Pool) -> str:
@@ -96,10 +139,19 @@ def _describe_pool(pool: Pool) -> str:
 class InferenceOp:
     """One step of a compiled plan.
 
-    ``run`` never writes its input (the caller's array, for the plan's
-    first op); every op but ``Flatten`` (a reshape view) returns a
-    freshly allocated output.
+    ``bind`` resolves the op's geometry for one image of a given shape,
+    once per plan input shape; ``run`` then only reads it, so the batch
+    size is the one thing that varies per call.  ``run`` never writes
+    its input (the caller's array, for the plan's first op); every op
+    but ``Flatten`` (a reshape view) returns a freshly allocated
+    output.
     """
+
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        """Resolve geometry for one image of ``shape``; return the
+        output shape and the op's per-image working set in elements
+        (by default an input and an output of the same size)."""
+        return shape, 2 * _size(shape)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -127,29 +179,46 @@ class ConvOp(InferenceOp):
         self.bias = conv.bias.data if resolve is None else resolve(
             conv.bias
         )
+        self.out_channels = conv.out_channels
         self.kernel = conv.kernel_size
         self.stride = conv.stride
         self.padding = conv.padding
         self.relu = relu
         self.pool = pool
         self.pointwise = conv.kernel_size == 1
-        # view of the GEMM-shaped weights, captured at compile time
+        # views of the GEMM-shaped weights and the broadcastable bias,
+        # captured at compile time
         self._flat_weight = self.weight.reshape(conv.out_channels, -1)
+        self._bias = self.bias.reshape(-1, 1, 1)
+
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        channels, height, width = shape
+        kernel, stride, pad = self.kernel, self.stride, self.padding
+        self._out_h = F.conv_output_size(height, kernel, stride, pad)
+        self._out_w = F.conv_output_size(width, kernel, stride, pad)
+        self._map = (self.out_channels, self._out_h, self._out_w)
+        elements = _size(shape) + _size(self._map)
+        if pad:
+            elements += channels * (height + 2 * pad) * (width + 2 * pad)
+        if not self.pointwise:
+            elements += channels * kernel * kernel * self._out_h * self._out_w
+        self._taps, out_shape, pooled = _bind_pool(self.pool, *self._map)
+        return out_shape, elements + pooled
 
     def gemm(
         self, x: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, int, int]:
+    ) -> np.ndarray:
         """The convolution without its bias, as ``(N, O, out_h*out_w)``
-        (written into ``out`` when given), plus ``(out_h, out_w)``."""
-        return F.conv2d_gemm(
-            x, self._flat_weight, self.kernel, self.kernel,
-            self.stride, self.padding, out=out,
+        (written into ``out`` when given)."""
+        cols = F.gemm_columns(
+            x, self.kernel, self.kernel, self.stride, self.padding,
+            self._out_h, self._out_w,
         )
+        return np.matmul(self._flat_weight, cols, out=out)
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        result, out_h, out_w = self.gemm(x)
-        result = result.reshape(*result.shape[:2], out_h, out_w)
-        return _pool_bias_relu(result, self.bias, self.relu, self.pool)
+        result = self.gemm(x).reshape(x.shape[0], *self._map)
+        return _finish(result, self._taps, self._bias, self.relu)
 
     def describe(self) -> str:
         kind = "conv1x1[gemm]" if self.pointwise else "conv[im2col]"
@@ -175,22 +244,42 @@ class FireOp(InferenceOp):
         self.expand3x3 = ConvOp(fire.expand3x3, relu=True, resolve=resolve)
         self.pool = pool
         self._half = fire.expand1x1.out_channels
+        # the squeeze bias against the flat (N, S, H*W) GEMM map
+        self._squeeze_bias = self.squeeze.bias.reshape(-1, 1)
+
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        squeezed, squeeze_elements = self.squeeze.bind(shape)
+        expanded, expand_elements = self.expand3x3.bind(squeezed)
+        self.expand1x1.bind(squeezed)
+        self._squeezed = squeezed
+        self._map = (2 * self._half, *expanded[1:])
+        self._taps, out_shape, pooled = _bind_pool(self.pool, *self._map)
+        # the squeeze's input and map, then the 3x3's pad copy and
+        # columns, the joint expand map and the pool's rows, all live
+        # together (the 3x3's own input and map are already counted)
+        elements = (
+            squeeze_elements + expand_elements
+            - _size(squeezed) - _size(expanded)
+            + _size(self._map) + pooled
+        )
+        return out_shape, elements
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        squeezed = self.squeeze.run(x)
-        batch, _, height, width = squeezed.shape
+        batch = x.shape[0]
+        squeezed = self.squeeze.gemm(x)
+        squeezed += self._squeeze_bias
+        F.relu_inplace(squeezed)
+        squeezed = squeezed.reshape(batch, *self._squeezed)
         half = self._half
-        out = np.empty(
-            (batch, 2 * half, height * width), dtype=squeezed.dtype
-        )
+        channels, height, width = self._map
+        out = np.empty((batch, channels, height * width), squeezed.dtype)
         self.expand1x1.gemm(squeezed, out=out[:, :half])
         self.expand3x3.gemm(squeezed, out=out[:, half:])
         # joined per run, not at compile, so in-place updates of the
         # live bias parameters still reach the plan
-        bias = np.concatenate((self.expand1x1.bias, self.expand3x3.bias))
-        return _pool_bias_relu(
-            out.reshape(batch, 2 * half, height, width),
-            bias, True, self.pool,
+        bias = np.concatenate((self.expand1x1._bias, self.expand3x3._bias))
+        return _finish(
+            out.reshape(batch, *self._map), self._taps, bias, True
         )
 
     def describe(self) -> str:
@@ -205,7 +294,7 @@ class ReluOp(InferenceOp):
     """Standalone ReLU (one not fused into a convolution)."""
 
     def run(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+        return np.maximum(x, F._ZERO)
 
     def describe(self) -> str:
         return "relu"
@@ -218,8 +307,14 @@ class MaxPoolOp(InferenceOp):
         self.kernel = kernel
         self.stride = stride
 
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        self._taps, out_shape, pooled = _bind_pool(
+            (self.kernel, self.stride), *shape
+        )
+        return out_shape, _size(shape) + pooled
+
     def run(self, x: np.ndarray) -> np.ndarray:
-        return F.maxpool2d_infer(x, self.kernel, self.stride)
+        return F.maxpool_by_taps(x, *self._taps)
 
     def describe(self) -> str:
         return f"maxpool{self.kernel}/{self.stride}"
@@ -230,6 +325,15 @@ class AvgPoolOp(InferenceOp):
         self.kernel = kernel
         self.stride = stride
 
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        channels, height, width = shape
+        out_shape = (
+            channels,
+            F.conv_output_size(height, self.kernel, self.stride, 0),
+            F.conv_output_size(width, self.kernel, self.stride, 0),
+        )
+        return out_shape, _size(shape) + _size(out_shape)
+
     def run(self, x: np.ndarray) -> np.ndarray:
         return F.avgpool2d_infer(x, self.kernel, self.stride)
 
@@ -238,11 +342,16 @@ class AvgPoolOp(InferenceOp):
 
 
 class GlobalAvgPoolOp(InferenceOp):
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        channels, height, width = shape
+        self._count = height * width
+        return (channels,), _size(shape) + channels
+
     def run(self, x: np.ndarray) -> np.ndarray:
         # np.mean(axis=(2, 3))'s own arithmetic (add.reduce, then a
         # divide) without its per-call Python overhead
         total = np.add.reduce(x, axis=(2, 3))
-        total /= x.shape[2] * x.shape[3]
+        total /= self._count
         return total
 
     def describe(self) -> str:
@@ -250,6 +359,9 @@ class GlobalAvgPoolOp(InferenceOp):
 
 
 class FlattenOp(InferenceOp):
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        return (_size(shape),), _size(shape)
+
     def run(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
@@ -267,6 +379,10 @@ class LinearOp(InferenceOp):
         )
         self.relu = relu
 
+    def bind(self, shape: Shape) -> Tuple[Shape, int]:
+        out_shape = (self.weight.shape[0],)
+        return out_shape, _size(shape) + _size(out_shape)
+
     def run(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.weight.T
         out += self.bias
@@ -281,22 +397,60 @@ class LinearOp(InferenceOp):
 class InferencePlan:
     """A compiled, state-free execution schedule for one network.
 
+    The plan is bound to one image shape at a time: binding resolves
+    every op's geometry and sets ``chunk``, the batch size whose
+    largest op working set fits :data:`CHUNK_BYTES`.  ``run`` binds on
+    the first batch of a new image shape (the classifier compiles its
+    plan bound to its input shape) and cuts every batch into chunks of
+    ``chunk`` images; each row's logits never depend on the chunk it
+    ran in.
+
     ``run`` never touches the layers' backward caches, activation
     capture, or training flags — it is safe to interleave with training
     and Grad-CAM use of the same network (but see the staleness contract
     in the module docstring: recompile after ``train()``/``load()``).
     """
 
-    def __init__(self, ops: List[InferenceOp], name: str = "net") -> None:
+    def __init__(
+        self,
+        ops: List[InferenceOp],
+        name: str = "net",
+        input_shape: Optional[Shape] = None,
+    ) -> None:
         self.ops = ops
         self.name = name
+        self.input_shape: Optional[Shape] = None
+        self.chunk: Optional[int] = None
+        if input_shape is not None:
+            self.bind(tuple(input_shape))
+
+    def bind(self, shape: Shape) -> None:
+        """Resolve every op's geometry for one image of ``shape`` and
+        size ``chunk`` from the largest per-image working set."""
+        largest, current = 0, shape
+        for op in self.ops:
+            current, elements = op.bind(current)
+            largest = max(largest, elements)
+        self.chunk = max(1, CHUNK_BYTES // max(1, largest * _ITEMSIZE))
+        self.input_shape = shape
 
     def run(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[1:] != self.input_shape:
+            self.bind(x.shape[1:])
+        chunk = self.chunk
+        if x.shape[0] <= chunk:
+            return self._forward(x)
+        return np.concatenate([
+            self._forward(x[start:start + chunk])
+            for start in range(0, x.shape[0], chunk)
+        ])
+
+    __call__ = run
+
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         for op in self.ops:
             x = op.run(x)
         return x
-
-    __call__ = run
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -328,7 +482,9 @@ def _fused_pool(layers: List[Layer], index: int) -> Tuple[Pool, int]:
 
 
 def compile_inference(
-    network: Sequential, artifact=None
+    network: Sequential,
+    artifact=None,
+    input_shape: Optional[Shape] = None,
 ) -> InferencePlan:
     """Lower a Sequential into a flat list of fused inference kernels.
 
@@ -336,6 +492,10 @@ def compile_inference(
     each parameterized op computes over the artifact's dequantized fp32
     reconstruction instead of the live parameter views — the
     dequantize-or-cast happens here, once, never in the hot loop.
+
+    With ``input_shape`` (one image's ``(C, H, W)``), every op's
+    geometry and the plan's ``chunk`` are resolved here too; without
+    it, on the first ``run``.
 
     Raises :class:`UnsupportedLayerError` for layer types without an
     inference lowering; callers fall back to the layer-by-layer path.
@@ -381,4 +541,4 @@ def compile_inference(
             )
     if not ops:
         raise UnsupportedLayerError("network lowered to an empty plan")
-    return InferencePlan(ops, name=network.name)
+    return InferencePlan(ops, name=network.name, input_shape=input_shape)

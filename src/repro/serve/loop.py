@@ -543,20 +543,31 @@ class AsyncServeFront:
     # ------------------------------------------------------------------
     # Front door
     # ------------------------------------------------------------------
-    async def submit(
+    def submit(
         self,
         bitmap: np.ndarray,
         session_id: str = "session",
         priority: int = PRIORITY_VIEWPORT,
         provenance: Optional[FrameProvenance] = None,
         content_key: str = "",
-    ) -> BlockDecision:
-        """One classification request; resolves when its batch flushes."""
-        if self._closed:
-            raise ServeClosedError(
-                "AsyncServeFront is closed; no new requests are admitted"
-            )
+    ) -> "asyncio.Future[BlockDecision]":
+        """One classification request: a future that resolves when its
+        batch flushes (or at once, on a cheap tier).
+
+        Admission runs at call time and hands back a plain future, not
+        a coroutine, so a burst gathered with ``asyncio.gather`` wraps
+        no request in a Task of its own: at 32 px those Tasks were a
+        third of the front's per-request cost.  Refusals (a closed
+        front, a shed) arrive as the future's exception, so ``await
+        front.submit(...)`` raises them as before.
+        """
         loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        if self._closed:
+            future.set_exception(ServeClosedError(
+                "AsyncServeFront is closed; no new requests are admitted"
+            ))
+            return future
         now_ms = self._now_ms(loop)
         chain = self._chain
         chain.tick(now_ms, self._queue)
@@ -575,26 +586,28 @@ class AsyncServeFront:
         answered = chain.answer(request, now_ms)
         if answered is not None:
             if answered.tier == "shed":
-                raise ServeOverloadError(
+                future.set_exception(ServeOverloadError(
                     f"request shed at brownout level"
                     f" '{self.resilience.controller.level_name}'"
-                )
-            return answered.decision
+                ))
+            else:
+                future.set_result(answered.decision)
+            return future
         if chain.enqueue(
             request, self._queue, self._pending, now_ms
         ) == "shed":
-            raise ServeOverloadError(
+            future.set_exception(ServeOverloadError(
                 f"queue depth {self._queue.depth} at its bound "
                 f"({self.settings.max_depth}); request shed"
-            )
-        future: "asyncio.Future[BlockDecision]" = loop.create_future()
+            ))
+            return future
         self._waiters[request.request_id] = future
         # defer to a callback instead of flushing inline: submit
         # returns immediately, and a burst of submits already on the
         # ready queue gets to enqueue (or shed) before the flush runs
         # — admission control stays observable
         self._schedule_flush(loop)
-        return await future
+        return future
 
     async def drain(self) -> None:
         """Flush everything still queued."""

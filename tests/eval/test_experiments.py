@@ -108,6 +108,7 @@ class TestModelProfile:
         assert result.squeezenet_mb > result.percival_mb * 2
         assert result.sentinel_reduction > 50
         assert result.full_size_latency_ms > 0
+        assert result.layer_by_layer_latency_ms > 0
 
 
 class TestRenderPerformance:
@@ -123,6 +124,7 @@ class TestRenderPerformance:
         assert brave_pct > chromium_pct  # the Figure 15 asymmetry
         assert (result.series["brave"].median_ms
                 < result.series["chromium"].median_ms)
+        assert result.plan_latency_ms > 0
 
     def test_cdf_monotone(self, reference_classifier):
         result = run_render_performance_experiment(

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.models.percivalnet import PercivalNet
+from repro.models.percivalnet import LABEL_AD, PercivalNet
 from repro.nn import (
     Conv2d,
     Dropout,
@@ -28,6 +28,7 @@ from repro.nn import (
     compile_inference,
 )
 from repro.nn import functional as F
+from repro.nn.loss import softmax
 from repro.utils.rng import spawn_rng
 
 #: kernel, stride, pad, (H, W) — odd sizes included on purpose.
@@ -341,10 +342,15 @@ def _bits(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
-def _percivalnet_with_biases(rng):
-    """The reduced PercivalNet with nonzero biases (they initialize to
-    zero, which would hide a bias applied in the wrong place)."""
-    network = PercivalNet.small()
+SMALL_SHAPE = (4, 32, 32)
+PAPER_SHAPE = (4, 224, 224)
+
+
+def _percivalnet_with_biases(rng, network=None):
+    """A PercivalNet (the reduced one by default) with nonzero biases
+    (they initialize to zero, which would hide a bias applied in the
+    wrong place)."""
+    network = network or PercivalNet.small()
     network.eval()
     for param in network.parameters():
         if param.name.endswith(".bias"):
@@ -352,19 +358,27 @@ def _percivalnet_with_biases(rng):
     return network
 
 
-def _precision_plans(network):
+def _precision_plans(network, input_shape=None):
     """(precision, resolve, plan) at every storage precision; ``resolve``
     maps a Parameter to the array the plan computes with."""
     for precision in ("fp32", "fp16", "int8"):
         if precision == "fp32":
             yield precision, (lambda param: param.data), compile_inference(
-                network
+                network, input_shape=input_shape
             )
         else:
             artifact = WeightArtifact.from_network(network, precision)
             yield precision, artifact.bind(network), compile_inference(
-                network, artifact=artifact
+                network, artifact=artifact, input_shape=input_shape
             )
+
+
+def _whole_batch(plan, x):
+    """Every op over the whole batch at once: the plan without its
+    chunk loop."""
+    for op in plan.ops:
+        x = op.run(x)
+    return x
 
 
 def _unfused(network, resolve, x):
@@ -432,6 +446,95 @@ class TestBatchInvariance:
                 assert [_bits(row) for row in rows] == alone, (
                     precision, chunk,
                 )
+
+    def test_chunk_boundary_batches(self, rng):
+        network = _percivalnet_with_biases(rng)
+        for precision, _, plan in _precision_plans(network, SMALL_SHAPE):
+            chunk = plan.chunk
+            assert 1 < chunk < 64
+            x = rng.standard_normal((chunk + 1, *SMALL_SHAPE)).astype(
+                np.float32
+            )
+            alone = [_bits(plan.run(x[i:i + 1])) for i in range(chunk + 1)]
+            for batch in (0, chunk - 1, chunk, chunk + 1):
+                out = plan.run(x[:batch])
+                assert out.shape == (batch, 2)
+                assert [_bits(row) for row in out] == alone[:batch], (
+                    precision, batch,
+                )
+                assert [
+                    _bits(row) for row in _whole_batch(plan, x[:batch])
+                ] == alone[:batch], (precision, batch)
+
+    def test_paper_scale_rows_equal_alone_chunked_and_whole(self, rng):
+        network = _percivalnet_with_biases(rng, PercivalNet.paper())
+        x = rng.standard_normal((8, *PAPER_SHAPE)).astype(np.float32)
+        for precision, _, plan in _precision_plans(network, PAPER_SHAPE):
+            alone = [_bits(plan.run(x[i:i + 1])) for i in range(8)]
+            for batch in (1, 3, 8):
+                chunked = plan.run(x[:batch])
+                whole = _whole_batch(plan, x[:batch])
+                assert [_bits(row) for row in chunked] == alone[:batch], (
+                    precision, batch,
+                )
+                assert [_bits(row) for row in whole] == alone[:batch], (
+                    precision, batch,
+                )
+
+
+class TestChunkSizing:
+    """``plan.chunk`` comes from the plan's own geometry: the byte
+    budget over the largest per-image working set of any op."""
+
+    def test_chunk_shrinks_with_the_working_set(self):
+        small = compile_inference(PercivalNet.small(), input_shape=SMALL_SHAPE)
+        paper = compile_inference(PercivalNet.paper(), input_shape=PAPER_SHAPE)
+        assert paper.chunk == 1  # one 224 px frame's conv1 exceeds it
+        assert 8 < small.chunk < 64
+
+    def test_binds_on_first_run_and_rebinds_on_a_new_shape(self, rng):
+        network = PercivalNet.small()
+        network.eval()
+        plan = compile_inference(network)
+        assert plan.chunk is None and plan.input_shape is None
+        plan.run(rng.standard_normal((2, *SMALL_SHAPE)).astype(np.float32))
+        assert plan.input_shape == SMALL_SHAPE
+        chunk = plan.chunk
+        x = rng.standard_normal((3, 4, 16, 16)).astype(np.float32)
+        assert np.abs(network.forward(x) - plan.run(x)).max() < 1e-5
+        assert plan.input_shape == (4, 16, 16)
+        assert plan.chunk > chunk
+
+
+class TestPaperScaleGolden:
+    """The 224 px plan against pinned logits: seeded weights (every
+    bias seeded too, and the ad logit shifted so the batch splits across
+    the threshold) and a seeded batch.  A reference for chunking and
+    kernel work at paper scale that does not move with them; the
+    tolerance covers BLAS builds that round differently."""
+
+    LOGITS = np.array([
+        [0.99774593, 5.0057492],
+        [2.8003163, 4.7955613],
+        [9.4621544, 4.622551],
+        [28.65086, 4.3702607],
+    ], dtype=np.float32)
+    VERDICTS = [True, True, False, False]
+
+    def test_logits_and_verdicts(self):
+        rng = np.random.default_rng(224)
+        network = _percivalnet_with_biases(rng, PercivalNet.paper(seed=0))
+        head = {param.name: param for param in network.parameters()}
+        head["conv_final.bias"].data[LABEL_AD] += 5.0
+        x = rng.standard_normal((4, *PAPER_SHAPE)).astype(np.float32)
+        x *= np.array([0.1, 0.3, 1.0, 3.0], dtype=np.float32).reshape(
+            4, 1, 1, 1
+        )
+        plan = compile_inference(network, input_shape=PAPER_SHAPE)
+        logits = plan.run(x)
+        np.testing.assert_allclose(logits, self.LOGITS, rtol=1e-5, atol=1e-4)
+        probabilities = softmax(logits, axis=1)[:, LABEL_AD]
+        assert list(probabilities >= 0.5) == self.VERDICTS
 
 
 class TestFusedPlanOracle:

@@ -95,14 +95,13 @@ class TestTimerEdges:
         )
 
         async def drive():
-            task = asyncio.ensure_future(
-                front.submit(_frames(1, seed=2)[0])
-            )
-            await asyncio.sleep(0)  # let submit enqueue + schedule
+            # submit admits at call time: the request is queued and its
+            # flush scheduled before the loop runs again
+            pending = front.submit(_frames(1, seed=2)[0])
             assert front._flush_handle is not None
             assert front.depth == 1
             await front.aclose()
-            return await asyncio.wait_for(task, timeout=1.0)
+            return await asyncio.wait_for(pending, timeout=1.0)
 
         decision = asyncio.run(drive())
         assert decision is not None
