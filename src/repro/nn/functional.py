@@ -10,13 +10,16 @@ Two families of kernels live here:
 * **Training kernels** (``conv2d_forward`` / ``conv2d_backward``,
   ``maxpool2d_forward`` / ``maxpool2d_backward``, ...) retain whatever
   the backward pass needs (the im2col matrix, argmax indices).
-* **Inference kernels** (``conv2d_infer``, ``maxpool2d_infer``, ...)
+* **Inference kernels** (``gemm_columns``, ``maxpool2d_infer``, ...)
   retain nothing.  They additionally take shortcuts the training path
   cannot: a 1x1 convolution skips im2col entirely (reshape + batched
   GEMM — most of PercivalNet's FLOPs are 1x1 squeeze/expand convs), the
   general case unrolls receptive fields through a zero-copy strided
-  view, and bias and ReLU run in place on the GEMM output.  Each
-  allocates its own result and never writes its input.
+  view, and ReLU runs in place.  The compiled plan
+  (:mod:`repro.nn.inference`) composes them into its convolution ops:
+  one GEMM over the ``gemm_columns`` operand, any fused max-pool, then
+  bias and ReLU in place.  Each kernel allocates its own result and
+  never writes its input.
 
 All kernels take and return NCHW arrays.
 """
@@ -260,17 +263,6 @@ def relu_inplace(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, _ZERO, out=x)
 
 
-def bias_relu_inplace(
-    x: np.ndarray, bias: np.ndarray, relu: bool
-) -> np.ndarray:
-    """Add a per-channel bias to an NCHW map in place, then optionally
-    ReLU it in place; returns ``x``."""
-    x += bias.reshape(-1, 1, 1)
-    if relu:
-        relu_inplace(x)
-    return x
-
-
 def pad2d(images: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes of an NCHW batch.
 
@@ -388,35 +380,6 @@ def gemm_columns(
     return _window_view(
         images, kernel_h, kernel_w, stride, out_h, out_w
     ).reshape(batch, channels * kernel_h * kernel_w, out_h * out_w)
-
-
-def conv2d_infer(
-    images: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    stride: int,
-    pad: int,
-    relu: bool = False,
-) -> np.ndarray:
-    """Inference-only convolution: no cols retention, optional ReLU.
-
-    Matches :func:`conv2d_forward` numerically but returns only the
-    output: one ``(O, C*kh*kw) @ (C*kh*kw, out_h*out_w)`` GEMM per
-    image over :func:`gemm_columns` leaves a contiguous NCHW map, the
-    bias is added in place and ``relu=True`` applies ReLU in place
-    (conv+ReLU fusion).  The plan's convolution ops run the same GEMM.
-    """
-    out_channels, _, kernel_h, kernel_w = weight.shape
-    out_h = conv_output_size(images.shape[2], kernel_h, stride, pad)
-    out_w = conv_output_size(images.shape[3], kernel_w, stride, pad)
-    cols = gemm_columns(
-        images, kernel_h, kernel_w, stride, pad, out_h, out_w
-    )
-    result = np.matmul(weight.reshape(out_channels, -1), cols)
-    return bias_relu_inplace(
-        result.reshape(images.shape[0], out_channels, out_h, out_w),
-        bias, relu,
-    )
 
 
 def _window_tiles(

@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 Color = Tuple[float, float, float]
 
@@ -93,6 +92,58 @@ def add_noise(img: np.ndarray, rng: np.random.Generator, sigma: float) -> None:
     img[..., :3] = np.clip(img[..., :3] + noise, 0.0, 1.0)
 
 
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """The taps of a Gaussian truncated at four sigma, as scipy's
+    ``gaussian_filter`` builds them: ``-r .. r`` for
+    ``r = int(4 * sigma + 0.5)``, normalised by their sum."""
+    radius = int(4.0 * sigma + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    return weights / weights.sum()
+
+
+def _blur_axis0(field: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Blur axis 0 of a 2-D field with a symmetric kernel, as scipy's
+    ``correlate1d`` does: in float64, the centre tap first, then each
+    pair ``(left + right) * w`` from the outermost pair inward; the
+    result is rounded to the field's dtype."""
+    radius = len(weights) // 2
+    rows = field.shape[0]
+    # scipy's "reflect" edge (d c b a | a b c d) is numpy's "symmetric"
+    # pad, which reflects again and again when the field is narrower
+    # than the radius
+    line = np.pad(
+        field.astype(np.float64), ((radius, radius), (0, 0)),
+        mode="symmetric",
+    )
+    total = line[radius:radius + rows] * weights[radius]
+    pair = np.empty_like(total)
+    for offset in range(radius, 0, -1):
+        np.add(
+            line[radius - offset:radius - offset + rows],
+            line[radius + offset:radius + offset + rows],
+            out=pair,
+        )
+        pair *= weights[radius - offset]
+        total += pair
+    return total.astype(field.dtype)
+
+
+def gaussian_blur(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-blur a 2-D float field, rows first, then columns.
+
+    Bitwise equal to ``scipy.ndimage.gaussian_filter(field, sigma,
+    mode="reflect")`` for float32 and float64 fields, including the
+    rounding to the field's dtype between the two axes;
+    ``docs/inference.md`` states the contract.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    weights = _gaussian_weights(float(sigma))
+    blurred = _blur_axis0(_blur_axis0(field, weights).T, weights)
+    return np.ascontiguousarray(blurred.T)
+
+
 def smooth_blobs(
     height: int,
     width: int,
@@ -108,7 +159,7 @@ def smooth_blobs(
     """
     img = blank(height, width)
     field = rng.random((height, width)).astype(np.float32)
-    field = ndimage.gaussian_filter(field, sigma=scale, mode="reflect")
+    field = gaussian_blur(field, scale)
     span = field.max() - field.min()
     if span > 0:
         field = (field - field.min()) / span

@@ -28,6 +28,7 @@ from repro.nn import (
     compile_inference,
 )
 from repro.nn import functional as F
+from repro.nn.inference import ConvOp
 from repro.nn.loss import softmax
 from repro.utils.rng import spawn_rng
 
@@ -46,17 +47,32 @@ POOL_GEOMETRIES = [
 ]
 
 
+def _run_conv_op(layer, x, relu=False, resolve=None):
+    """``x`` through the plan's own convolution op for ``layer``: the
+    ``gemm_columns`` operand, one GEMM, then bias (and ReLU) in place."""
+    op = ConvOp(layer, relu, resolve=resolve)
+    op.bind(x.shape[1:])
+    return op.run(x)
+
+
+def _plan_conv(x, weight, bias, stride, pad, relu=False):
+    out_channels, in_channels, kernel, _ = weight.shape
+    layer = Conv2d(in_channels, out_channels, kernel, stride, pad)
+    layer.weight.data, layer.bias.data = weight, bias
+    return _run_conv_op(layer, x, relu)
+
+
 class TestConvKernelEquivalence:
     @pytest.mark.parametrize("kernel,stride,pad,size", CONV_GEOMETRIES)
-    def test_conv2d_infer_matches_reference(self, kernel, stride, pad,
-                                            size, rng):
+    def test_conv_op_matches_reference(self, kernel, stride, pad, size,
+                                       rng):
         x = rng.standard_normal((2, 3, *size)).astype(np.float32)
         weight = rng.standard_normal((5, 3, kernel, kernel)).astype(
             np.float32
         )
         bias = rng.standard_normal(5).astype(np.float32)
         reference, _ = F.conv2d_forward(x, weight, bias, stride, pad)
-        fast = F.conv2d_infer(x, weight, bias, stride, pad)
+        fast = _plan_conv(x, weight, bias, stride, pad)
         assert fast.shape == reference.shape
         assert np.abs(reference - fast).max() < 1e-5
 
@@ -69,7 +85,7 @@ class TestConvKernelEquivalence:
         )
         bias = rng.standard_normal(4).astype(np.float32)
         reference, _ = F.conv2d_forward(x, weight, bias, stride, pad)
-        fused = F.conv2d_infer(x, weight, bias, stride, pad, relu=True)
+        fused = _plan_conv(x, weight, bias, stride, pad, relu=True)
         assert np.abs(np.maximum(reference, 0.0) - fused).max() < 1e-5
 
     @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 0), (1, 1)])
@@ -78,7 +94,7 @@ class TestConvKernelEquivalence:
         weight = rng.standard_normal((4, 6, 1, 1)).astype(np.float32)
         bias = rng.standard_normal(4).astype(np.float32)
         reference, _ = F.conv2d_forward(x, weight, bias, stride, pad)
-        fast = F.conv2d_infer(x, weight, bias, stride, pad)
+        fast = _plan_conv(x, weight, bias, stride, pad)
         assert np.abs(reference - fast).max() < 1e-5
 
 
@@ -382,15 +398,13 @@ def _whole_batch(plan, x):
 
 
 def _unfused(network, resolve, x):
-    """Op-by-op oracle from the ``functional`` kernels, in layer order:
-    every bias and ReLU before the pool after it, each Fire module's
-    expand halves concatenated, GAP through ``np.mean``."""
+    """Op-by-op oracle in layer order: each convolution through its own
+    pool-less, ReLU-less ``ConvOp``, every ReLU and max-pool a separate
+    step (so every bias and ReLU precedes the pool after it), each Fire
+    module's expand halves concatenated, GAP through ``np.mean``."""
 
     def conv(layer, x):
-        return F.conv2d_infer(
-            x, resolve(layer.weight), resolve(layer.bias),
-            layer.stride, layer.padding,
-        )
+        return _run_conv_op(layer, x, resolve=resolve)
 
     for layer in network.layers:
         if isinstance(layer, Conv2d):

@@ -219,3 +219,82 @@ class TestResizeScipyParity:
     def test_integer_bitmap_rejected(self):
         with pytest.raises(TypeError):
             drawing.resize_bitmap(np.zeros((4, 4, 4), np.uint8), 2, 2)
+
+
+def _scipy_blur(field, sigma):
+    """The reference ``gaussian_blur`` reproduces."""
+    return ndimage.gaussian_filter(field, sigma=sigma, mode="reflect")
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    unsigned = f"u{got.itemsize}"
+    np.testing.assert_array_equal(got.view(unsigned), want.view(unsigned))
+
+
+class TestBlurScipyParity:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # narrow fields on purpose: most are narrower than the 4-sigma
+        # radius, so the edge reflects more than once
+        height=st.one_of(st.integers(1, 12), st.integers(1, 140)),
+        width=st.one_of(st.integers(1, 12), st.integers(1, 140)),
+        # contentgen blurs photos at sigma 3-7 and product shots at 5
+        sigma=st.one_of(
+            st.floats(0.3, 9.0), st.floats(3.0, 7.0), st.just(5.0)
+        ),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_gaussian_filter(
+        self, height, width, sigma, dtype, seed
+    ):
+        field = np.random.default_rng(seed).random((height, width))
+        field = field.astype(dtype)
+        _assert_same_bits(
+            drawing.gaussian_blur(field, sigma), _scipy_blur(field, sigma)
+        )
+
+    @pytest.mark.parametrize("sigma", [3.0, 5.0, 7.0])
+    def test_kernel_weights(self, sigma):
+        # scipy's taps are exp(-0.5 / sigma**2 * x**2) over their sum;
+        # exp(-x**2 / (2 * sigma**2)) differs in the last bit at 3 and
+        # 7, and a Polynomial evaluation of the exponent at 5 and 7.
+        # An impulse through scipy's 1-D filter reads the taps back.
+        radius = int(4.0 * sigma + 0.5)
+        impulse = np.zeros(2 * radius + 1)
+        impulse[radius] = 1.0
+        _assert_same_bits(
+            drawing._gaussian_weights(sigma),
+            ndimage.gaussian_filter1d(impulse, sigma, mode="constant"),
+        )
+
+    def test_pairs_summed_outermost_first(self):
+        # adding the (left + right) * w pairs innermost first moves
+        # this float64 field in the last bit
+        field = np.random.default_rng(0).random((9, 16))
+        _assert_same_bits(
+            drawing.gaussian_blur(field, 5.0), _scipy_blur(field, 5.0)
+        )
+
+    def test_repeated_reflection(self):
+        # a 3 x 5 field under a radius-20 kernel: the edge reflects
+        # again and again (d c b a | a b c d | d c b a ...); reflecting
+        # once and clamping beyond that does not match
+        field = np.random.default_rng(0).random((3, 5), dtype=np.float32)
+        _assert_same_bits(
+            drawing.gaussian_blur(field, 5.0), _scipy_blur(field, 5.0)
+        )
+
+    def test_rounded_to_float32_between_axes(self):
+        # scipy writes the row pass into the float32 output before the
+        # column pass reads it; carrying float64 across does not match
+        field = np.random.default_rng(0).random((12, 10), dtype=np.float32)
+        _assert_same_bits(
+            drawing.gaussian_blur(field, 3.0), _scipy_blur(field, 3.0)
+        )
+
+    def test_non_positive_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            drawing.gaussian_blur(np.zeros((4, 4), np.float32), 0.0)
