@@ -480,7 +480,7 @@ def test_chaos_brownout_dwell(
     ])
     ladder = LadderSettings(
         slo_ms=10.0, percentile=95.0, window=8, min_samples=2,
-        recover_headroom=0.8, min_dwell_ms=4.0, widen_factor=2.0,
+        recover_headroom=0.8, min_dwell_ms=4.0,
     )
 
     def run(chaos, resilience):

@@ -386,13 +386,15 @@ class Renderer:
 
             def hook(bitmap: np.ndarray, info: SkImageInfo) -> bool:
                 frame_enqueued[0] = False
+                # fingerprint once per frame: the same key serves the
+                # tier probes and, on a miss, the enqueue or memo fill
+                key = percival.fingerprint(bitmap)
                 if serve_bridge is not None:
                     # micro-batched deployment: cascade rule tier (when
                     # the bridge has one), then the shared memo; misses
                     # enqueue for the post-raster batched drain
                     item = touched_item[0]
                     provenance = frame_provenance(item)
-                    key = serve_bridge.fingerprint(bitmap)
                     answered = serve_bridge.route(
                         bitmap, key=key, provenance=provenance
                     )
@@ -412,9 +414,6 @@ class Renderer:
                     )
                     frame_enqueued[0] = True
                     return False  # verdict lands at drain time
-                # fingerprint once per frame: the same key serves the
-                # memo lookup and, on a miss, the memo fill.
-                key = percival.fingerprint(bitmap)
                 cached = percival.memoized_decision(key=key)
                 if cached is not None:
                     metrics.memo_hits += 1

@@ -12,8 +12,8 @@ pieces (see ``docs/resilience.md``):
   schedule, guarding pool dispatch, cascade rule serving, and diff
   inheritance;
 * :class:`DegradationController` — the SLO-driven graceful-degradation
-  ladder (widen deadlines → no diff → no cascade → drop below-fold →
-  shed), stepping down on breach and back up on recovery.
+  ladder (no diff → no cascade → drop below-fold → shed), stepping
+  down on breach and back up on recovery.
 
 The standing invariant all three preserve: a fault may move *where or
 whether* work happens — never the value of a served P(ad) — and the

@@ -9,13 +9,10 @@ austere than the one above:
 level     name                effect on the serve stack
 ========  ==================  ============================================
 0         normal              everything on
-1         widen-deadlines     batch deadlines scale by ``widen_factor``
-                              (bigger batches, better amortization,
-                              worse per-request wait)
-2         no-diff             snapshot/diff tier skipped
-3         no-cascade          cascade rule tier (and its audits) skipped
-4         drop-below-fold     below-the-fold requests shed at admission
-5         shed                every queue-bound request shed (cheap
+1         no-diff             snapshot/diff tier skipped
+2         no-cascade          cascade rule tier (and its audits) skipped
+3         drop-below-fold     below-the-fold requests shed at admission
+4         shed                every queue-bound request shed (cheap
                               tiers that survive earlier levels may
                               still answer)
 ========  ==================  ============================================
@@ -47,7 +44,6 @@ import numpy as np
 
 LEVELS = (
     "normal",
-    "widen-deadlines",
     "no-diff",
     "no-cascade",
     "drop-below-fold",
@@ -72,8 +68,6 @@ class LadderSettings:
     recover_headroom: float = 0.5
     #: minimum time at a level before the next transition
     min_dwell_ms: float = 20.0
-    #: deadline multiplier applied from level 1 down
-    widen_factor: float = 4.0
 
     def __post_init__(self) -> None:
         if self.slo_ms <= 0:
@@ -86,8 +80,6 @@ class LadderSettings:
             raise ValueError("recover_headroom must be in (0, 1)")
         if self.min_dwell_ms < 0:
             raise ValueError("min_dwell_ms must be >= 0")
-        if self.widen_factor < 1.0:
-            raise ValueError("widen_factor must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -140,24 +132,20 @@ class DegradationController:
         return LEVELS[self._level]
 
     @property
-    def deadline_scale(self) -> float:
-        return self.settings.widen_factor if self._level >= 1 else 1.0
-
-    @property
     def diff_disabled(self) -> bool:
-        return self._level >= 2
+        return self._level >= 1
 
     @property
     def cascade_disabled(self) -> bool:
-        return self._level >= 3
+        return self._level >= 2
 
     @property
     def drop_below_fold(self) -> bool:
-        return self._level >= 4
+        return self._level >= 3
 
     @property
     def shed_all(self) -> bool:
-        return self._level >= 5
+        return self._level >= 4
 
     # ------------------------------------------------------------------
     # Observations

@@ -17,9 +17,8 @@ memoization contract, and metrics:
   flushes.  Its one compute lane is the event-loop thread, so it is
   work-conserving: every enqueue schedules a flush for the loop's next
   idle turn, which drains the queue in batches of at most
-  ``max_batch``.  ``max_wait_ms``, ``deadline_scale`` and the ladder's
-  widen-deadlines level shape the simulator's schedule; in the front
-  they are upper bounds an idle loop never reaches.
+  ``max_batch``.  ``max_wait_ms`` shapes the simulator's schedule; in
+  the front it is an upper bound an idle loop never reaches.
 
 Compute is modelled as a set of **lanes**.  The simulator sizes the set
 from the attached worker pool's capacity (override:
@@ -62,10 +61,10 @@ Both drivers also host the **resilience plane**
 ``PERCIVAL_CHAOS`` knob) injects worker death, tier outages, and
 latency spikes at planned virtual ticks; per-tier circuit breakers
 stop consulting a failing tier; and the SLO-driven degradation ladder
-browns features out (wider deadlines → no diff → no cascade → drop
-below-fold → shed) before shedding everything.  The standing invariant
-is the same one the speed tiers obey: a fault moves *where or whether*
-work happens, never the value of a served P(ad), and the conservation
+browns features out (no diff → no cascade → drop below-fold) before
+it sheds every queue-bound request.  The standing invariant is the
+same one the speed tiers obey: a fault moves *where or whether* work
+happens, never the value of a served P(ad), and the conservation
 ledger (submitted = answered + shed + failed) balances under every
 schedule.  With chaos and resilience off (the default) nothing
 changes, bit for bit.
@@ -106,7 +105,7 @@ class ServeClosedError(RuntimeError):
     """The front door was closed; the request was never admitted.
 
     Raised by :meth:`AsyncServeFront.submit` after :meth:`aclose` — a
-    closed front has drained its queue and cancelled its pending flush,
+    closed front has drained its queue and cancelled its scheduled flush,
     so admitting more work could only hang the caller.
     """
 
@@ -314,7 +313,6 @@ class ServeLoop:
         if plane is not None:
             plane.rebase(0.0)
         results: List[ServeResult] = []
-        pending: Dict[str, ServeRequest] = {}
         #: which ServeResult belongs to each queued request (leaders
         #: and riders alike), resolved at flush time
         open_results: Dict[int, ServeResult] = {}
@@ -325,13 +323,13 @@ class ServeLoop:
 
         while True:
             now = clock.now_ms
-            chain.tick(now, queue)
+            chain.tick(now)
             free_lane = self._lowest_free_lane(lane_free, now)
             if free_lane is not None:
                 batch = queue.pop_batch(now)
                 if batch is not None:
                     lane_free[free_lane] = self._flush(
-                        chain, batch, now, free_lane, pending, open_results
+                        chain, batch, now, free_lane, open_results
                     )
                     continue
             arrival = events[index].at_ms if index < len(events) else None
@@ -367,7 +365,7 @@ class ServeLoop:
                 results.append(
                     self._admit(
                         chain, event, next_id, clock.now_ms,
-                        queue, pending, open_results,
+                        queue, open_results,
                     )
                 )
 
@@ -396,7 +394,6 @@ class ServeLoop:
         request_id: int,
         now_ms: float,
         queue: BatchQueue,
-        pending: Dict[str, ServeRequest],
         open_results: Dict[int, ServeResult],
     ) -> ServeResult:
         chain.stats.submitted += 1
@@ -429,7 +426,7 @@ class ServeLoop:
             result.memo_hit = answered.tier == "memo"
             result.flush_ms = result.complete_ms = now_ms
             return result
-        outcome = chain.enqueue(request, queue, pending, now_ms)
+        outcome = chain.enqueue(request, queue, now_ms)
         if outcome == "shed":
             result.shed = True
             result.flush_ms = result.complete_ms = now_ms
@@ -444,7 +441,6 @@ class ServeLoop:
         batch: List[ServeRequest],
         now_ms: float,
         lane: int,
-        pending: Dict[str, ServeRequest],
         open_results: Dict[int, ServeResult],
     ) -> float:
         """Dispatch one batch on the free compute lane ``lane``;
@@ -458,7 +454,6 @@ class ServeLoop:
             # exactly once with failed=True, the lane frees at once,
             # and the conservation ledger stays balanced
             for request in batch:
-                pending.pop(request.key, None)
                 for settled in (request, *request.coalesced):
                     result = open_results.pop(settled.request_id)
                     result.failed = True
@@ -471,7 +466,6 @@ class ServeLoop:
             cost_ms *= chain.cursor.latency_multiplier(now_ms)
         complete_ms = now_ms + cost_ms
         for request, decision in zip(batch, decisions):
-            pending.pop(request.key, None)
             group = (request, *request.coalesced)
             for settled in group:
                 result = open_results.pop(settled.request_id)
@@ -533,7 +527,6 @@ class AsyncServeFront:
         )
         self.stats = self._chain.stats
         self._queue = BatchQueue(self.settings)
-        self._pending: Dict[str, ServeRequest] = {}
         self._waiters: Dict[int, "asyncio.Future[BlockDecision]"] = {}
         self._flush_handle: Optional[asyncio.Handle] = None
         self._origin_s: Optional[float] = None
@@ -570,7 +563,7 @@ class AsyncServeFront:
             return future
         now_ms = self._now_ms(loop)
         chain = self._chain
-        chain.tick(now_ms, self._queue)
+        chain.tick(now_ms)
         self.stats.submitted += 1
         self._next_id += 1
         request = ServeRequest(
@@ -593,9 +586,7 @@ class AsyncServeFront:
             else:
                 future.set_result(answered.decision)
             return future
-        if chain.enqueue(
-            request, self._queue, self._pending, now_ms
-        ) == "shed":
+        if chain.enqueue(request, self._queue, now_ms) == "shed":
             future.set_exception(ServeOverloadError(
                 f"queue depth {self._queue.depth} at its bound "
                 f"({self.settings.max_depth}); request shed"
@@ -614,7 +605,7 @@ class AsyncServeFront:
         self._flush(asyncio.get_running_loop())
 
     async def aclose(self) -> None:
-        """Drain pending requests, cancel the scheduled flush, and
+        """Drain queued requests, cancel the scheduled flush, and
         refuse further submits.  Idempotent."""
         self._closed = True
         await self.drain()
@@ -675,7 +666,6 @@ class AsyncServeFront:
         complete_ms = self._now_ms(loop)
         try:
             for request, decision in zip(batch, decisions):
-                self._pending.pop(request.key, None)
                 group = (request, *request.coalesced)
                 for settled in group:
                     future = self._waiters.pop(settled.request_id, None)
@@ -695,13 +685,11 @@ class AsyncServeFront:
     def _settle_failure(
         self, batch: List[ServeRequest], exc: Exception
     ) -> None:
-        # the batch is already popped: its waiters must hear about the
-        # failure, not hang, and its keys must leave _pending so later
-        # duplicates are not coalesced onto a leader that no longer
-        # exists.  Pops tolerate absence so this doubles as the
-        # exactly-once backstop behind a partially-settled batch.
+        # the batch is already popped (so its leaders have left the
+        # queue's coalescing index): its waiters must hear about the
+        # failure, not hang.  Pops tolerate absence so this doubles as
+        # the exactly-once backstop behind a partially-settled batch.
         for request in batch:
-            self._pending.pop(request.key, None)
             for settled in (request, *request.coalesced):
                 future = self._waiters.pop(settled.request_id, None)
                 if future is None:

@@ -84,7 +84,8 @@ class ServeStats:
     answered: int = 0
     shed: int = 0
     #: requests whose batch's classification raised after it was popped
-    #: (asyncio front only: their awaiters receive the exception)
+    #: (the asyncio front's awaiters receive the exception; a guarded
+    #: simulator settles them ``failed=True``)
     failed: int = 0
     #: answered from the session's page snapshot (diff tier), before
     #: the request's bitmap was even fingerprinted
@@ -137,18 +138,16 @@ class ServeStats:
         complete_ms: float,
         priority: int,
     ) -> None:
-        """One answered request's queue wait, service time and total."""
-        self.queue_wait_ms.add(flush_ms - arrival_ms)
+        """One answered request's queue wait (overall and in its
+        priority class), service time and total."""
+        wait_ms = flush_ms - arrival_ms
+        self.queue_wait_ms.add(wait_ms)
         self.service_ms.add(complete_ms - flush_ms)
         self.total_ms.add(complete_ms - arrival_ms)
-        self.record_queue_wait(priority, flush_ms - arrival_ms)
-
-    def record_queue_wait(self, priority: int, value_ms: float) -> None:
-        """Attribute one queue-wait sample to its priority class."""
         summary = self.queue_wait_by_priority.get(priority)
         if summary is None:
             summary = self.queue_wait_by_priority[priority] = LatencySummary()
-        summary.add(value_ms)
+        summary.add(wait_ms)
 
     @property
     def mean_batch_size(self) -> float:

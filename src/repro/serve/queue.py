@@ -21,11 +21,15 @@ The queue is deliberately pure: it never reads a wall clock.  Every
 operation takes ``now_ms`` explicitly, so the deterministic virtual-
 clock serve loop, the asyncio front door, and the Hypothesis property
 suite all drive the *same* code with their own notion of time.  The
-deadline policy (``max_wait_ms`` scaled by ``deadline_scale``, which
-the ladder's widen-deadlines level raises) is what the simulator
-schedules by; the asyncio front has one compute lane and drains the
-queue with ``pop_batch(force=True)`` whenever its event loop is idle,
-so there a deadline is an upper bound it never reaches.
+``max_wait_ms`` deadline is what the simulator schedules by; the
+asyncio front has one compute lane and drains the queue with
+``pop_batch(force=True)`` whenever its event loop is idle, so there a
+deadline is an upper bound it never reaches.
+
+The queue also owns the coalescing index: ``leader(key)`` is the
+queued request with fingerprint ``key``, the one a duplicate rides on.
+``offer`` enters an admitted request and ``pop_batch`` removes it, so
+a popped request is never a leader.
 
 Admission control is part of the type: ``offer`` refuses requests past
 ``max_depth`` (counted across every priority class) and counts them as
@@ -110,11 +114,8 @@ class BatchQueue:
         self.accepted_count = 0
         #: requests handed out in popped batches
         self.flushed_count = 0
-        #: multiplier on ``max_wait_ms`` for deadline purposes — the
-        #: degradation ladder's "widen-deadlines" brownout level sets
-        #: this above 1.0 to trade queue wait for batch amortization;
-        #: 1.0 (the default) is byte-identical to the pre-ladder queue
-        self.deadline_scale = 1.0
+        #: fingerprint -> the queued request duplicates coalesce onto
+        self._leaders: Dict[str, ServeRequest] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -125,6 +126,10 @@ class BatchQueue:
         (coalesced riders excluded)."""
         return self._depth
 
+    def leader(self, key: str) -> Optional[ServeRequest]:
+        """The queued request with fingerprint ``key``, or ``None``."""
+        return self._leaders.get(key)
+
     def next_deadline_ms(self) -> Optional[float]:
         """Virtual time by which the oldest request must flush, or
         ``None`` when the queue is empty.  The deadline is priority-
@@ -132,7 +137,7 @@ class BatchQueue:
         oldest = self._oldest_arrival_ms()
         if oldest is None:
             return None
-        return oldest + self.settings.max_wait_ms * self.deadline_scale
+        return oldest + self.settings.max_wait_ms
 
     def due(self, now_ms: float) -> bool:
         """True when a batch must flush now: a full ``max_batch`` is
@@ -141,11 +146,7 @@ class BatchQueue:
             return False
         if self._depth >= self.settings.max_batch:
             return True
-        return (
-            now_ms
-            >= self._oldest_arrival_ms()
-            + self.settings.max_wait_ms * self.deadline_scale
-        )
+        return now_ms >= self._oldest_arrival_ms() + self.settings.max_wait_ms
 
     # ------------------------------------------------------------------
     # Mutation
@@ -172,6 +173,7 @@ class BatchQueue:
         lane.append((self._seq, request))
         self._depth += 1
         self.accepted_count += 1
+        self._leaders[request.key] = request
         return True
 
     def pop_batch(
@@ -199,6 +201,8 @@ class BatchQueue:
                     best_priority = priority
             _, request = self._classes[best_priority].popleft()
             self._depth -= 1
+            if self._leaders.get(request.key) is request:
+                del self._leaders[request.key]
             batch.append(request)
         self.flushed_count += len(batch)
         return batch

@@ -373,9 +373,6 @@ class RenderServeBridge:
             )
         return answered
 
-    def fingerprint(self, bitmap: np.ndarray) -> str:
-        return self.blocker.fingerprint(bitmap)
-
     def enqueue(
         self,
         bitmap: np.ndarray,

@@ -8,7 +8,8 @@ is that path, written once for :class:`~repro.serve.loop.ServeLoop`,
 :class:`~repro.serve.session.RenderServeBridge`, with every tier call
 behind one resilience wrapper (:meth:`TierChain.guard`).  Each front
 keeps only what differs: the loop its virtual clock, lanes and results,
-the asyncio front its futures and timer, the bridge its chunked drain.
+the asyncio front its futures and idle-turn flush, the bridge its
+chunked drain.
 
 Tier methods are looked up on their instances at call time, so a
 wrapper installed on an instance after the chain is built still sees
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
-    Dict,
     List,
     NamedTuple,
     Optional,
@@ -193,9 +193,9 @@ class TierChain:
     # ------------------------------------------------------------------
     # Resilience gates
     # ------------------------------------------------------------------
-    def tick(self, now_ms: float, queue: BatchQueue) -> None:
+    def tick(self, now_ms: float) -> None:
         """Fire the chaos events due by ``now_ms`` and let the ladder
-        take its step (its deadline brownout lands on ``queue``)."""
+        take its step."""
         plane, cursor = self.plane, self.cursor
         if cursor is not None:
             fired = cursor.fire_due(now_ms, pool=self.blocker.pool)
@@ -203,7 +203,6 @@ class TierChain:
                 plane.note_chaos(fired)
         if plane is not None:
             plane.controller.evaluate(now_ms)
-            queue.deadline_scale = plane.controller.deadline_scale
 
     def guard(
         self,
@@ -291,8 +290,8 @@ class TierChain:
         the shared memo.  A memo hit feeds its verdict back like a
         computed one.  On a miss ``request.key`` holds the fingerprint
         and ``request.audit`` any open audit ticket.  The ladder sheds
-        below-the-fold requests before the tiers (level 4) and
-        queue-bound ones after them (level 5): a request a cheap tier
+        below-the-fold requests before the tiers (level 3) and
+        queue-bound ones after them (level 4): a request a cheap tier
         can answer is never shed.
         """
         plane, stats = self.plane, self.stats
@@ -356,16 +355,12 @@ class TierChain:
         return Answer("shed")
 
     def enqueue(
-        self,
-        request: ServeRequest,
-        queue: BatchQueue,
-        pending: Dict[str, ServeRequest],
-        now_ms: float,
+        self, request: ServeRequest, queue: BatchQueue, now_ms: float
     ) -> str:
         """Queue a missed request: ``"coalesced"`` onto a queued twin
         (no depth, no batch slot), ``"queued"`` as a new leader, or
         ``"shed"`` by a full queue — a pressure signal for the ladder."""
-        leader = pending.get(request.key)
+        leader = queue.leader(request.key)
         if leader is not None:
             leader.coalesced.append(request)
             self.stats.coalesced += 1
@@ -375,7 +370,6 @@ class TierChain:
             if self.plane is not None:
                 self.plane.controller.observe_pressure("queue overflow shed")
             return "shed"
-        pending[request.key] = request
         return "queued"
 
     # ------------------------------------------------------------------

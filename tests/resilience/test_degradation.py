@@ -14,7 +14,6 @@ FAST = LadderSettings(
     min_samples=2,
     recover_headroom=0.5,
     min_dwell_ms=10.0,
-    widen_factor=4.0,
 )
 
 
@@ -40,8 +39,6 @@ class TestSettingsValidation:
             LadderSettings(recover_headroom=1.0)
         with pytest.raises(ValueError):
             LadderSettings(min_dwell_ms=-1.0)
-        with pytest.raises(ValueError):
-            LadderSettings(widen_factor=0.5)
 
 
 class TestSteppingDown:
@@ -49,7 +46,7 @@ class TestSteppingDown:
         controller = _controller()
         assert _breach(controller, now_ms=20.0)
         assert controller.level == 1
-        assert controller.level_name == "widen-deadlines"
+        assert controller.level_name == "no-diff"
         transition = controller.transitions[-1]
         assert transition.direction == "down"
         assert "slo" in transition.reason
@@ -81,7 +78,7 @@ class TestSteppingDown:
             controller.evaluate(now + FAST.min_dwell_ms / 2.0)  # damped
             levels.append(controller.level)
             now += FAST.min_dwell_ms
-        assert levels == [1, 2, 3, 4, 5, 5, 5, 5]  # floor is the last rung
+        assert levels == [1, 2, 3, 4, 4, 4, 4, 4]  # floor is the last rung
 
     def test_insufficient_samples_never_breach(self):
         controller = _controller()
@@ -149,18 +146,16 @@ class TestLevelFlags:
     def test_flags_accumulate_down_the_ladder(self):
         controller = _controller()
         expected = {
-            0: (1.0, False, False, False, False),
-            1: (FAST.widen_factor, False, False, False, False),
-            2: (FAST.widen_factor, True, False, False, False),
-            3: (FAST.widen_factor, True, True, False, False),
-            4: (FAST.widen_factor, True, True, True, False),
-            5: (FAST.widen_factor, True, True, True, True),
+            0: (False, False, False, False),
+            1: (True, False, False, False),
+            2: (True, True, False, False),
+            3: (True, True, True, False),
+            4: (True, True, True, True),
         }
         now = 20.0
         for level in range(len(LEVELS)):
             assert controller.level == level
             assert expected[level] == (
-                controller.deadline_scale,
                 controller.diff_disabled,
                 controller.cascade_disabled,
                 controller.drop_below_fold,
@@ -177,11 +172,11 @@ class TestDwellLedger:
         controller.observe_pressure("x")
         controller.evaluate(30.0)   # normal for 30ms
         controller.observe_pressure("x")
-        controller.evaluate(50.0)   # widen-deadlines for 20ms
-        controller.finalize(65.0)   # no-diff for 15ms
+        controller.evaluate(50.0)   # no-diff for 20ms
+        controller.finalize(65.0)   # no-cascade for 15ms
         assert controller.dwell_ms["normal"] == 30.0
-        assert controller.dwell_ms["widen-deadlines"] == 20.0
-        assert controller.dwell_ms["no-diff"] == 15.0
+        assert controller.dwell_ms["no-diff"] == 20.0
+        assert controller.dwell_ms["no-cascade"] == 15.0
         assert controller.dwell_ms["shed"] == 0.0
 
     def test_rebase_reanchors_without_touching_the_ledger(self):
@@ -194,8 +189,8 @@ class TestDwellLedger:
         assert controller.dwell_ms == ledger
         assert controller.level == 1
         controller.finalize(5.0)
-        assert controller.dwell_ms["widen-deadlines"] == (
-            ledger["widen-deadlines"] + 5.0
+        assert controller.dwell_ms["no-diff"] == (
+            ledger["no-diff"] + 5.0
         )
 
     def test_replay_determinism(self):

@@ -99,7 +99,7 @@ class TestAsyncFrontExactlyOnce:
         self, untrained_classifier, monkeypatch
     ):
         """Every awaiter of a failed batch — riders included — gets
-        the exception exactly once, the pending map is clean, and a
+        the exception exactly once, the coalescing index is clean, and a
         later duplicate submit is a fresh leader, not an orphan."""
         frames = _frames(2, seed=2)
         blocker = _blocker(untrained_classifier)
@@ -127,7 +127,9 @@ class TestAsyncFrontExactlyOnce:
             assert all(
                 isinstance(outcome, RuntimeError) for outcome in outcomes
             )
-            assert front._pending == {}
+            for frame in frames:
+                key = blocker.fingerprint(frame)
+                assert front._queue.leader(key) is None
             assert front._waiters == {}
             # the key is free again: a retry computes normally
             retry = await front.submit(frames[0], session_id="a")

@@ -240,7 +240,6 @@ ACCEPTANCE_LADDER = LadderSettings(
     min_samples=2,
     recover_headroom=0.8,
     min_dwell_ms=4.0,
-    widen_factor=2.0,
 )
 
 ACCEPTANCE_SCHEDULE = ChaosSchedule([

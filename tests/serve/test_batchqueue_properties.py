@@ -18,6 +18,9 @@ arrival/poll schedules on a virtual clock:
    ``(session, priority)`` pair, and aging bounds starvation: a
    request that has waited ``priority * aging_ms`` ranks with the top
    class.
+6. **coalescing index** — ``leader(key)`` is ``None`` or a request
+   still queued under ``key``: a popped request is never a leader, and
+   a full drain leaves every lookup ``None``.
 """
 
 import numpy as np
@@ -29,6 +32,8 @@ from repro.diff import FrameDiffer
 from repro.serve import BatchQueue, ServeRequest
 
 _DUMMY = np.zeros((1, 1, 4), dtype=np.float32)
+#: fingerprints of the mixed-priority schedules: few enough to collide
+_KEYS = [f"key-{index}" for index in range(4)]
 
 _settings_strategy = st.builds(
     ServeSettings,
@@ -58,12 +63,14 @@ _schedule_strategy = st.lists(
 )
 
 # mixed-priority schedules add a priority class (0 = viewport urgency,
-# up to 2) to every arrival
+# up to 2) and a fingerprint from a small pool (so keys repeat while
+# queued) to every arrival
 _priority_schedule_strategy = st.lists(
     st.tuples(
         st.floats(0.0, 6.0, allow_nan=False),
         st.integers(0, 3),
         st.integers(0, 2),
+        st.integers(0, 3),
         st.booleans(),
     ),
     min_size=1,
@@ -202,22 +209,38 @@ def _replay_priorities(config, schedule):
     shed = []
     popped = []
     admission_index = {}
+    queued = {}
+
+    def check_leaders():
+        # the coalescing index only ever names a request still queued
+        # under that key, so a popped request is never returned
+        for key in _KEYS:
+            leader = queue.leader(key)
+            assert leader is None or (
+                queued.get(leader.request_id) is leader
+                and leader.key == key
+            )
 
     def drain(force=False):
         while True:
             batch = queue.pop_batch(now_ms, force=force)
             if batch is None:
                 return
+            for request in batch:
+                del queued[request.request_id]
+            check_leaders()
             popped.append(
                 (now_ms, [(admission_index[r.request_id], r) for r in batch])
             )
 
-    for index, (gap_ms, session, priority, poll) in enumerate(schedule):
+    for index, (gap_ms, session, priority, key, poll) in enumerate(
+        schedule
+    ):
         now_ms += gap_ms
         request = ServeRequest(
             request_id=index,
             session_id=f"session-{session}",
-            key=f"key-{index}",
+            key=_KEYS[key],
             bitmap=_DUMMY,
             arrival_ms=now_ms,
             priority=priority,
@@ -230,8 +253,10 @@ def _replay_priorities(config, schedule):
         if accepted:
             admission_index[request.request_id] = len(admitted)
             admitted.append(request)
+            queued[request.request_id] = request
         else:
             shed.append(request)
+        check_leaders()
         if poll:
             drain()
     drain(force=True)
@@ -293,6 +318,7 @@ def test_priority_conservation_and_bounds(config, schedule):
     assert queue.shed_count == len(shed)
     assert queue.flushed_count == len(popped_flat)
     assert queue.depth == 0
+    assert all(queue.leader(key) is None for key in _KEYS)
 
 
 @settings(max_examples=60, deadline=None)

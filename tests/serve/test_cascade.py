@@ -291,7 +291,7 @@ def test_coalesced_riders_feed_the_healer_once_bridge():
     router, rule, events = _coalesced_audit_setup()
     bridge = RenderServeBridge(_blocker(), SETTINGS, cascade=router)
     for event in events:
-        key = bridge.fingerprint(event.bitmap)
+        key = bridge.blocker.fingerprint(event.bitmap)
         assert bridge.route(
             event.bitmap, key=key, provenance=event.provenance
         ) is None

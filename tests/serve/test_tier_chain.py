@@ -128,7 +128,7 @@ def _bridge_outcomes(blocker, events, cascade):
     bridge = RenderServeBridge(blocker, SETTINGS, cascade=cascade)
     outcomes = []
     for event in events:
-        key = bridge.fingerprint(event.bitmap)
+        key = bridge.blocker.fingerprint(event.bitmap)
         answered = bridge.route(
             event.bitmap, key=key, provenance=event.provenance
         )
@@ -186,10 +186,10 @@ class TestCrossFrontDifferential:
 
 
 # ----------------------------------------------------------------------
-# Ladder level 5 ("shed"): only queue-bound requests shed
+# Ladder level 4 ("shed"): only queue-bound requests shed
 # ----------------------------------------------------------------------
 def _ladder_pinned_at_shed():
-    """A real controller stepped down to level 5 whose dwell is far
+    """A real controller stepped down to level 4 whose dwell is far
     longer than any test, so no evaluate can move it."""
     controller = DegradationController(LadderSettings(min_dwell_ms=1e9))
     for step in range(1, len(LEVELS)):
@@ -201,8 +201,8 @@ def _ladder_pinned_at_shed():
 
 
 class _ShedOnly(DegradationController):
-    """Level 5's own flag with every cheap tier left on.  The real
-    ladder has browned the cascade out by then (level 3), so this is
+    """Level 4's own flag with every cheap tier left on.  The real
+    ladder has browned the cascade out by then (level 2), so this is
     what shows a rule hit surviving ``shed_all``."""
 
     shed_all = True
