@@ -9,9 +9,13 @@ actually round-trips pixels through real encoders:
 * ``DEFLATE`` — zlib over scanlines (PNG-flavoured),
 * ``QUANT`` — 5-bit quantization + zlib (JPEG-flavoured, lossy).
 
-Pixels are float32 RGBA in [0, 1] on the outside, uint8 on the wire.
-Each format carries a relative decode-cost factor used by the virtual
-clock (quantized/entropy-coded formats cost more per pixel).
+``encode_image`` takes float32 RGBA renders in [0, 1] and quantizes
+them to 8 bits per channel for the wire; ``decode_image`` hands back
+those ``uint8`` (H, W, 4) RGBA bytes as they were decompressed, the
+N32 bitmap Skia's decode step fills (§3.2).  Preprocessing is where a
+decoded frame first becomes floats.  Each format carries a relative
+decode-cost factor used by the virtual clock (quantized/entropy-coded
+formats cost more per pixel).
 """
 
 from __future__ import annotations
@@ -63,10 +67,6 @@ def _to_uint8(pixels: np.ndarray) -> np.ndarray:
     if pixels.ndim != 3 or pixels.shape[2] != 4:
         raise ValueError("expected (H, W, 4) RGBA pixels")
     return np.clip(pixels * 255.0, 0, 255).astype(np.uint8)
-
-
-def _from_uint8(raw: np.ndarray) -> np.ndarray:
-    return (raw.astype(np.float32) / 255.0)
 
 
 def _rle_encode(data: bytes) -> bytes:
@@ -123,7 +123,11 @@ def encode_image(pixels: np.ndarray, fmt: ImageFormat) -> EncodedImage:
 
 
 def decode_image(encoded: EncodedImage) -> np.ndarray:
-    """Decode back to RGBA float pixels (lossy for QUANT)."""
+    """Decode to ``uint8`` (H, W, 4) RGBA (lossy for QUANT).
+
+    The lossless formats return a read-only view of the decompressed
+    bytes; copy it before writing.
+    """
     blob = encoded.payload
     if blob[:4] != _MAGIC:
         raise ValueError("bad magic; not an encoded image")
@@ -147,13 +151,11 @@ def decode_image(encoded: EncodedImage) -> np.ndarray:
         flat = zlib.decompress(body)
     elif fmt is ImageFormat.QUANT:
         quantized = np.frombuffer(zlib.decompress(body), dtype=np.uint8)
-        raw = (quantized.reshape(height, width, 4) << 3)
-        return _from_uint8(raw)
+        return quantized.reshape(height, width, 4) << 3
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown format {fmt!r}")
 
-    raw = np.frombuffer(flat, dtype=np.uint8).reshape(height, width, 4)
-    return _from_uint8(raw)
+    return np.frombuffer(flat, dtype=np.uint8).reshape(height, width, 4)
 
 
 def format_for_url(url: str) -> ImageFormat:

@@ -9,6 +9,10 @@ frame; the ``SkImage`` owns a ``DecodingImageGenerator`` whose
 bitmap.  PERCIVAL is invoked with the freshly decoded buffer plus its
 ``SkImageInfo`` — the exact interception point of the paper — and may
 clear the buffer (block) before anything downstream sees it.
+
+Bitmaps are ``uint8`` (H, W, 4) RGBA (``RGBA_8888``), the decoder's own
+bytes: the buffers here are allocated, filled and cleared as ``uint8``,
+and only preprocessing turns a frame into floats.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class SkImageInfo:
 
 
 class DecodingImageGenerator:
-    """Decodes an encoded frame into a caller-provided bitmap."""
+    """Decodes an encoded frame into a caller-provided ``uint8`` bitmap."""
 
     def __init__(self, encoded: EncodedImage) -> None:
         self._encoded = encoded
@@ -71,7 +75,7 @@ class DecodingImageGenerator:
         bitmap[...] = pixels
         self.decode_count += 1
         if percival_hook is not None and percival_hook(bitmap, self.info):
-            bitmap[...] = 0.0  # clear the buffer: the frame never paints
+            bitmap[...] = 0  # clear the buffer: the frame never paints
             return True
         return False
 
@@ -112,11 +116,12 @@ class BitmapImage:
     def ensure_decoded(
         self, percival_hook: Optional[PercivalHook] = None
     ) -> np.ndarray:
-        """Decode (once) through the generator; returns the bitmap."""
+        """Decode (once) through the generator; returns the ``uint8``
+        bitmap."""
         if self._decoded is None:
             info = self.sk_image.info
             bitmap = np.empty(
-                (info.height, info.width, info.channels), dtype=np.float32
+                (info.height, info.width, info.channels), dtype=np.uint8
             )
             self.blocked = self.sk_image.generator.on_get_pixels(
                 bitmap, percival_hook
@@ -153,7 +158,7 @@ class BitmapImage:
         if blocked:
             info = self.sk_image.info
             self._decoded = np.zeros(
-                (info.height, info.width, info.channels), dtype=np.float32
+                (info.height, info.width, info.channels), dtype=np.uint8
             )
             self.blocked = True
 
@@ -166,5 +171,5 @@ class BitmapImage:
         if self._decoded is None:
             raise RuntimeError("apply_verdict called before decode")
         if blocked and not self.blocked:
-            self._decoded[...] = 0.0
+            self._decoded[...] = 0
             self.blocked = True

@@ -3,8 +3,9 @@
 The paper's pipeline: "PERCIVAL reads the image, scales it
 to 224x224x4 ..., creates a tensor, and passes it through the CNN"
 (§3.3).  Preprocessing accepts whatever the decode step hands over —
-RGBA or RGB, any spatial size — and produces the fixed-size CHW tensor
-the network expects, normalized to zero-centered range.
+8-bit (``uint8``) or float [0, 1] pixels, RGBA or RGB, any spatial
+size — and produces the fixed-size CHW tensor the network expects,
+normalized to zero-centered range.
 """
 
 from __future__ import annotations
@@ -25,11 +26,16 @@ def _preprocess_into(
 ) -> None:
     """Write one decoded bitmap (H, W, C) into ``out`` (4, S, S).
 
-    The CHW transpose and the centering happen in the write itself, in
-    float32, so no per-frame tensor is materialized.
+    A ``uint8`` frame (the decoder's bytes) becomes float32 here, with
+    the expression the decoder once applied, so its tensor is bitwise
+    that of the float frame.  The CHW transpose and the centering
+    happen in the write itself, in float32, so no per-frame tensor is
+    materialized.
     """
     if bitmap.ndim != 3:
         raise ValueError("expected (H, W, C) bitmap")
+    if bitmap.dtype == np.uint8:
+        bitmap = bitmap.astype(np.float32) / 255.0
     if bitmap.shape[2] == 3:
         alpha = np.ones(bitmap.shape[:2] + (1,), dtype=bitmap.dtype)
         bitmap = np.concatenate([bitmap, alpha], axis=2)

@@ -181,7 +181,7 @@ def _fingerprint_frames(
     return [image_fingerprint(view) for view in _views(segment, layout)]
 
 
-def _worker_main(conn: Connection) -> None:
+def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
     """Worker loop: (re)build the plan on ``plan`` (the weight segment's
     name and a :class:`~repro.core.classifier.PlanExport`); score on
     ``run`` (a pickled NCHW batch) and ``frames`` (bitmaps in the frame
@@ -200,11 +200,17 @@ def _worker_main(conn: Connection) -> None:
     Chaos commands (armed by the parent's ``chaos_*`` methods) fire on
     the *next* hashing or scoring request, never on a plan, so the fault
     lands mid-batch: ``chaos-die-on-run`` exits without replying (the
-    parent gathers an EOF), ``chaos-stall-on-run`` sleeps past the pool
-    timeout first, and ``chaos-echo`` emits an unsolicited reply
+    parent gathers an EOF), ``chaos-stall-on-run`` waits past the pool
+    timeout first (exiting at once, without a reply, if the parent's end
+    closes meanwhile), and ``chaos-echo`` emits an unsolicited reply
     immediately (the parent's next gather goes out-of-sync and discards
     this worker's pipe).
     """
+    # a forked worker starts with copies of the parent's pipe ends (its
+    # own and its siblings'); while it holds them, the parent's death
+    # never reads as EOF here
+    for parent_end in inherited:
+        parent_end.close()
     classifier: Optional[AdClassifier] = None
     frames: Optional[shared_memory.SharedMemory] = None
     die_on_run = False
@@ -230,7 +236,10 @@ def _worker_main(conn: Connection) -> None:
                 if die_on_run:
                     break
                 if stall_on_run_s > 0.0:
-                    time.sleep(stall_on_run_s)
+                    # mid-call the parent sends nothing more, so input
+                    # during the stall is an EOF: the parent is gone
+                    if conn.poll(stall_on_run_s):
+                        break
                     stall_on_run_s = 0.0
             if classifier is None and kind in ("run", "frames"):
                 conn.send(("error", task_id, "no published weights"))
@@ -735,8 +744,9 @@ class InferenceWorkerPool:
     def chaos_arm_worker_stall(
         self, index: int = 0, stall_s: Optional[float] = None
     ) -> bool:
-        """Arm worker ``index`` to sleep past the pool timeout before
-        answering its next sub-batch (the slow-worker path)."""
+        """Arm worker ``index`` to wait past the pool timeout before
+        answering its next sub-batch (the slow-worker path); it exits
+        instead if the pool's end of its pipe closes first."""
         if stall_s is None:
             stall_s = self.timeout_s * 2.0
         return self._chaos_send(index, ("chaos-stall-on-run", float(stall_s)))
@@ -853,11 +863,14 @@ class InferenceWorkerPool:
         if self._closed:
             raise WorkerPoolError("worker pool is closed")
 
-    def _spawn(self) -> _Worker:
+    def _spawn(self, siblings: Sequence[_Worker]) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = [parent_conn] + [
+            worker.conn for worker in siblings if not worker.conn.closed
+        ]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, inherited),
             daemon=True,
             name="percival-inference-worker",
         )
@@ -900,7 +913,7 @@ class InferenceWorkerPool:
         growth = max(missing - dead, 0)
         replacements = missing - growth
         for _ in range(growth):
-            alive.append(self._spawn())
+            alive.append(self._spawn(alive))
         if replacements:
             now_s = time.monotonic()
             if self.budget_exhausted or now_s < self._respawn_not_before_s:
@@ -911,7 +924,7 @@ class InferenceWorkerPool:
                 )
         if replacements:
             for _ in range(replacements):
-                alive.append(self._spawn())
+                alive.append(self._spawn(alive))
             self.respawns += replacements
             self._respawn_streak += 1
             backoff = min(

@@ -108,6 +108,10 @@ class DegradationController:
         self._level = 0
         self._samples: Deque[float] = deque(maxlen=self.settings.window)
         self._entered_at_ms = 0.0
+        #: how far the dwell ledger has counted the current level
+        self._booked_at_ms = 0.0
+        #: the latest time ``evaluate``/``finalize`` was given
+        self._now_ms = 0.0
         #: when the newest window sample was seen (stamped by the next
         #: ``evaluate`` after it arrived) — the window never ages out
         #: by itself, so recency is what distinguishes live evidence
@@ -174,6 +178,7 @@ class DegradationController:
         nothing computes anymore, a quiet double-dwell — steps one level
         up.  One step per call, ``min_dwell_ms`` apart.
         """
+        self._now_ms = now_ms
         if self._observed > self._stamped:
             # samples arrived since the last evaluate: stamp them now
             # (at most one evaluate late — deterministic either way)
@@ -226,22 +231,30 @@ class DegradationController:
     def finalize(self, now_ms: float) -> None:
         """Close the dwell ledger at the end of a run."""
         self.dwell_ms[self.level_name] += max(
-            now_ms - self._entered_at_ms, 0.0
+            now_ms - self._booked_at_ms, 0.0
         )
-        self._entered_at_ms = now_ms
+        self._booked_at_ms = now_ms
+        self._now_ms = now_ms
 
     def rebase(self, now_ms: float) -> None:
-        """Re-anchor the dwell clock for a run whose virtual clock
-        restarted (fleet epochs each start at zero).  The level and the
-        closed dwell ledger carry over; only the anchors move."""
-        self._entered_at_ms = now_ms
-        self._last_sample_ms = min(self._last_sample_ms, now_ms)
+        """Re-anchor the clock for a run whose virtual clock restarted
+        (fleet epochs each start at zero).  The old clock's last reading
+        becomes ``now_ms`` and every anchor moves by that one offset, so
+        the time already spent at the current level, and since the last
+        sample, carries over, and the ledger neither loses nor re-counts
+        any of it."""
+        shift = now_ms - self._now_ms
+        self._entered_at_ms += shift
+        self._booked_at_ms += shift
+        self._last_sample_ms += shift
+        self._now_ms = now_ms
 
     def _step(self, now_ms: float, delta: int, reason: str) -> bool:
         previous = self.level_name
-        self.dwell_ms[previous] += max(now_ms - self._entered_at_ms, 0.0)
+        self.dwell_ms[previous] += max(now_ms - self._booked_at_ms, 0.0)
         self._level += delta
         self._entered_at_ms = now_ms
+        self._booked_at_ms = now_ms
         self._samples.clear()
         self.transitions.append(
             LadderTransition(

@@ -21,7 +21,7 @@ def encoded(rng):
 class TestDecodingImageGenerator:
     def test_populates_bitmap(self, encoded):
         generator = DecodingImageGenerator(encoded)
-        bitmap = np.zeros((10, 8, 4), dtype=np.float32)
+        bitmap = np.zeros((10, 8, 4), dtype=np.uint8)
         blocked = generator.on_get_pixels(bitmap)
         assert not blocked
         assert bitmap.any()
@@ -30,7 +30,7 @@ class TestDecodingImageGenerator:
     def test_shape_mismatch_rejected(self, encoded):
         generator = DecodingImageGenerator(encoded)
         with pytest.raises(ValueError):
-            generator.on_get_pixels(np.zeros((4, 4, 4), dtype=np.float32))
+            generator.on_get_pixels(np.zeros((4, 4, 4), dtype=np.uint8))
 
     def test_hook_sees_unmodified_pixels(self, encoded):
         seen = {}
@@ -41,14 +41,14 @@ class TestDecodingImageGenerator:
             return False
 
         generator = DecodingImageGenerator(encoded)
-        bitmap = np.zeros((10, 8, 4), dtype=np.float32)
+        bitmap = np.zeros((10, 8, 4), dtype=np.uint8)
         generator.on_get_pixels(bitmap, hook)
         assert seen["mean"] == pytest.approx(float(bitmap.mean()))
         assert seen["info"] == SkImageInfo(width=8, height=10)
 
     def test_blocking_clears_buffer(self, encoded):
         generator = DecodingImageGenerator(encoded)
-        bitmap = np.zeros((10, 8, 4), dtype=np.float32)
+        bitmap = np.zeros((10, 8, 4), dtype=np.uint8)
         blocked = generator.on_get_pixels(bitmap, lambda b, i: True)
         assert blocked
         assert not bitmap.any()  # the frame never reaches the screen
@@ -58,8 +58,11 @@ class TestBitmapImage:
     def test_deferred_until_ensure(self, encoded):
         image = BitmapImage(encoded)
         assert not image.is_decoded
-        image.ensure_decoded()
+        decoded = image.ensure_decoded()
         assert image.is_decoded
+        # the decoder's 8-bit RGBA, not floats
+        assert decoded.dtype == np.uint8
+        assert decoded.shape == (10, 8, 4)
 
     def test_decode_happens_once(self, encoded):
         image = BitmapImage(encoded)
@@ -74,7 +77,23 @@ class TestBitmapImage:
         image = BitmapImage(encoded)
         image.ensure_decoded(lambda b, i: True)
         assert image.blocked
-        assert not image.ensure_decoded().any()
+        cleared = image.ensure_decoded()
+        assert cleared.dtype == np.uint8
+        assert not cleared.any()
+
+    @pytest.mark.parametrize("decoded_first", [False, True])
+    def test_settled_block_is_a_cleared_uint8_frame(
+        self, encoded, decoded_first
+    ):
+        image = BitmapImage(encoded)
+        if decoded_first:
+            image.decode_only()
+        image.settle_verdict(True)
+        assert image.blocked
+        settled = image.ensure_decoded()
+        assert settled.dtype == np.uint8
+        assert settled.shape == (10, 8, 4)
+        assert not settled.any()
 
     def test_info_from_sk_image(self, encoded):
         image = BitmapImage(encoded)

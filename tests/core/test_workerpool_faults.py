@@ -13,14 +13,22 @@ while a flush is mid-scatter.  The invariants under test:
   closed, unpublished, or mid-dispatch,
 * a keyless pooled ``decide_many`` (hash phase, then score phase)
   survives a fault armed before either phase the same way, and leaks no
-  shared-memory segment.
+  shared-memory segment,
+* a stalled worker whose parent is killed exits instead of outliving
+  it.
 """
 
 import glob
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     AdClassifier,
     InferenceWorkerPool,
@@ -358,3 +366,63 @@ class TestTwoPhaseFaults:
         for name in names:
             assert not glob.glob(f"/dev/shm/{name.lstrip('/')}")
         assert _shm_segments() <= segments_before
+
+
+#: owns a 1-worker pool, arms a 30 s stall, prints the worker's pid and
+#: starts a call the worker stalls on
+_STALLED_OWNER = """
+import numpy as np
+from repro.core import (
+    AdClassifier, InferenceWorkerPool, PercivalBlocker, PercivalConfig,
+)
+classifier = AdClassifier(PercivalConfig())
+pool = InferenceWorkerPool(num_workers=1, timeout_s=60.0)
+pool.publish(classifier)
+assert pool.chaos_arm_worker_stall(0, 30.0)
+print(pool._workers[0].process.pid, flush=True)
+blocker = PercivalBlocker(
+    classifier, calibrated_latency_ms=1.0, pool=pool, shard_min_batch=1
+)
+rng = np.random.default_rng(0)
+blocker.decide_many(
+    [rng.random((10, 12, 4)).astype(np.float32) for _ in range(4)]
+)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestOrphanedWorker:
+    def test_stalled_worker_exits_when_its_parent_is_killed(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _STALLED_OWNER],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        try:
+            worker = int(owner.stdout.readline())
+            time.sleep(1.0)  # the call reaches the worker and stalls
+            assert _running(worker)
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            owner.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphaned = _running(worker)
+        if orphaned:
+            os.kill(worker, signal.SIGKILL)
+        assert not orphaned

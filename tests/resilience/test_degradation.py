@@ -193,6 +193,32 @@ class TestDwellLedger:
             ledger["no-diff"] + 5.0
         )
 
+    def test_rebase_carries_the_time_already_spent_at_shed(self):
+        """A fleet epoch that ends 30 ms into ``shed`` must not restart
+        the dwell: the next quiet epoch reaches the idle probe's two
+        dwell periods (40 ms) 10 ms in, not never."""
+        controller = DegradationController(
+            LadderSettings(slo_ms=50.0, min_samples=1, min_dwell_ms=20.0)
+        )
+        now = 0.0
+        while controller.level_name != "shed":
+            now += 20.0
+            controller.observe_latency(500.0)
+            controller.evaluate(now)
+        controller.evaluate(now + 15.0)
+        controller.finalize(now + 30.0)     # the epoch ends at shed
+        assert controller.level_name == "shed"
+        assert controller.dwell_ms["shed"] == 30.0
+        controller.rebase(0.0)
+        # the next epoch is quiet: 35 ms at shed, then 40 ms
+        assert not controller.evaluate(5.0)
+        assert controller.evaluate(10.0)
+        assert controller.level_name == "drop-below-fold"
+        probe = controller.transitions[-1]
+        assert (probe.at_ms, probe.reason) == (10.0, "idle recovery probe")
+        # 30 ms in the first epoch plus 10 ms in this one, counted once
+        assert controller.dwell_ms["shed"] == 40.0
+
     def test_replay_determinism(self):
         def drive(controller):
             now = 0.0
