@@ -168,8 +168,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     """Deterministic serving simulation: multi-session traffic through
     the micro-batching layer (or, with ``--fleet``, a full diurnal-day
     replay under the SLO autoscaler), with the latency report."""
-    from dataclasses import replace
-
     from repro.core import (
         PercivalBlocker,
         ServeSettings,
@@ -188,13 +186,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
 
     classifier = get_reference_classifier(_resolved_config(args))
     chaos = _resolved_chaos(args)
-    # unset flags fall back to the PERCIVAL_SERVE_* knobs
+    # flags set fields over the ServeSettings defaults
     flags = {
         field: getattr(args, field)
         for field in ("max_batch", "max_wait_ms", "max_depth", "lanes",
                       "aging_ms")
     }
-    settings = replace(ServeSettings.from_env(), **{
+    settings = ServeSettings(**{
         field: value for field, value in flags.items() if value is not None
     })
     pool = get_worker_pool(classifier, num_workers=args.workers)
@@ -368,15 +366,15 @@ def main(argv: list | None = None) -> int:
     serve_sim.add_argument("--seed", type=int, default=0)
     serve_sim.add_argument(
         "--max-batch", type=int,
-        help="flush threshold (PERCIVAL_SERVE_MAX_BATCH)",
+        help="flush threshold (default: ServeSettings.max_batch)",
     )
     serve_sim.add_argument(
         "--max-wait-ms", type=float,
-        help="oldest-request deadline (PERCIVAL_SERVE_MAX_WAIT_MS)",
+        help="oldest-request deadline (default: ServeSettings.max_wait_ms)",
     )
     serve_sim.add_argument(
         "--max-depth", type=int,
-        help="admission bound (PERCIVAL_SERVE_MAX_DEPTH)",
+        help="admission bound (default: ServeSettings.max_depth)",
     )
     serve_sim.add_argument(
         "--workers", type=int, default=None,
@@ -389,7 +387,7 @@ def main(argv: list | None = None) -> int:
     )
     serve_sim.add_argument(
         "--aging-ms", type=float,
-        help="priority aging interval (PERCIVAL_SERVE_AGING_MS)",
+        help="priority aging interval (default: ServeSettings.aging_ms)",
     )
     serve_sim.add_argument(
         "--fleet", action="store_true",

@@ -392,11 +392,15 @@ class Renderer:
                 if serve_bridge is not None:
                     # micro-batched deployment: cascade rule tier (when
                     # the bridge has one), then the shared memo; misses
-                    # enqueue for the post-raster batched drain
+                    # queue for the post-raster batched drain
                     item = touched_item[0]
-                    provenance = frame_provenance(item)
-                    answered = serve_bridge.route(
-                        bitmap, key=key, provenance=provenance
+                    priority = (
+                        PRIORITY_VIEWPORT
+                        if item is None or item.y < VIEWPORT_HEIGHT
+                        else PRIORITY_BELOW_FOLD
+                    )
+                    answered = serve_bridge.submit(
+                        bitmap, key, priority, frame_provenance(item)
                     )
                     if answered is not None:
                         if answered.tier == "rule":
@@ -404,14 +408,6 @@ class Renderer:
                         else:
                             metrics.memo_hits += 1
                         return answered.decision.is_ad
-                    priority = (
-                        PRIORITY_VIEWPORT
-                        if item is None or item.y < VIEWPORT_HEIGHT
-                        else PRIORITY_BELOW_FOLD
-                    )
-                    serve_bridge.enqueue(
-                        bitmap, key, priority, provenance=provenance
-                    )
                     frame_enqueued[0] = True
                     return False  # verdict lands at drain time
                 cached = percival.memoized_decision(key=key)

@@ -90,12 +90,13 @@ class PercivalConfig:
 
 @dataclass(frozen=True)
 class ServeSettings:
-    """Micro-batching knobs of the :mod:`repro.serve` layer.
+    """Micro-batching settings of the :mod:`repro.serve` layer.
 
-    These are pure deployment knobs — they decide how independent
+    These are pure deployment settings — they decide how independent
     classification requests coalesce into batches, never what any
     verdict is — so they live outside :class:`PercivalConfig` and the
-    model cache key entirely.
+    model cache key entirely.  A front built without settings uses the
+    defaults; only ``lanes`` has an environment knob.
     """
 
     #: flush a batch as soon as it reaches this many unique requests
@@ -129,23 +130,6 @@ class ServeSettings:
             raise ValueError("lanes must be >= 1 (or None for auto)")
         if self.aging_ms <= 0:
             raise ValueError("aging_ms must be > 0")
-
-    @classmethod
-    def from_env(cls) -> "ServeSettings":
-        """Settings from the ``PERCIVAL_SERVE_*`` knobs, each falling
-        back to its dataclass default.  A combination the settings
-        reject raises ``ValueError`` naming the variables that moved
-        a field off its default."""
-        values = {field: knob(env) for field, env in _SERVE_ENV.items()}
-        try:
-            return cls(**values)
-        except ValueError as exc:
-            named = ", ".join(
-                f"{env}={values[field]!r}"
-                for field, env in _SERVE_ENV.items()
-                if values[field] != getattr(cls, field)
-            )
-            raise ValueError(f"invalid {named}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -205,13 +189,6 @@ def _int_or_auto(auto: Callable[[], Any], floor: int,
     return parse
 
 
-def _float(env: str, raw: Any) -> float:
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{env} must be a number, got {raw!r}") from exc
-
-
 def _precision(env: str, raw: Any) -> str:
     try:
         return validate_precision(raw)
@@ -254,10 +231,6 @@ KNOBS: Dict[str, Knob] = {row.env: row for row in (
     Knob("PERCIVAL_WORKERS",
          _int_or_auto(_cores_minus_one, floor=0, clamp=True), "auto"),
     Knob("PERCIVAL_PRECISION", _precision, "fp32"),
-    Knob("PERCIVAL_SERVE_MAX_BATCH", _int(1), ServeSettings.max_batch),
-    Knob("PERCIVAL_SERVE_MAX_WAIT_MS", _float, ServeSettings.max_wait_ms),
-    Knob("PERCIVAL_SERVE_MAX_DEPTH", _int(1), ServeSettings.max_depth),
-    Knob("PERCIVAL_SERVE_AGING_MS", _float, ServeSettings.aging_ms),
     # auto = size the lanes from the attached pool's capacity
     Knob("PERCIVAL_SERVE_LANES", _int_or_auto(lambda: None, floor=1),
          "auto"),
@@ -267,14 +240,6 @@ KNOBS: Dict[str, Knob] = {row.env: row for row in (
     # an active chaos schedule implies the plane regardless
     Knob("PERCIVAL_RESILIENCE", _on_off, False),
 )}
-
-#: ServeSettings field -> the knob that sets it from the environment
-_SERVE_ENV = {
-    "max_batch": "PERCIVAL_SERVE_MAX_BATCH",
-    "max_wait_ms": "PERCIVAL_SERVE_MAX_WAIT_MS",
-    "max_depth": "PERCIVAL_SERVE_MAX_DEPTH",
-    "aging_ms": "PERCIVAL_SERVE_AGING_MS",
-}
 
 
 def knob(env: str, explicit: Any = None) -> Any:

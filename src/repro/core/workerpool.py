@@ -131,6 +131,12 @@ class WorkerPoolError(RuntimeError):
 
 _DEFAULT_TIMEOUT_S = 60.0
 
+#: how long a worker armed by ``chaos_arm_worker_stall`` stalls by
+#: default; the parent waits half a stall on it (never more than
+#: ``timeout_s``), so the slow-worker path — timeout, discard, respawn —
+#: costs a chaos replay a fraction of a second, not the pool timeout
+_CHAOS_STALL_S = 0.5
+
 #: frame offsets in the frame segment are multiples of this (a cache line)
 _FRAME_ALIGN = 64
 
@@ -200,11 +206,11 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
     Chaos commands (armed by the parent's ``chaos_*`` methods) fire on
     the *next* hashing or scoring request, never on a plan, so the fault
     lands mid-batch: ``chaos-die-on-run`` exits without replying (the
-    parent gathers an EOF), ``chaos-stall-on-run`` waits past the pool
-    timeout first (exiting at once, without a reply, if the parent's end
-    closes meanwhile), and ``chaos-echo`` emits an unsolicited reply
-    immediately (the parent's next gather goes out-of-sync and discards
-    this worker's pipe).
+    parent gathers an EOF), ``chaos-stall-on-run`` waits past the
+    parent's wait on it first (exiting at once, without a reply, if the
+    parent's end closes meanwhile), and ``chaos-echo`` emits an
+    unsolicited reply immediately (the parent's next gather goes
+    out-of-sync and discards this worker's pipe).
     """
     # a forked worker starts with copies of the parent's pipe ends (its
     # own and its siblings'); while it holds them, the parent's death
@@ -323,14 +329,20 @@ def _unlink(segment: Optional[shared_memory.SharedMemory]) -> None:
 
 
 class _Worker:
-    """Parent-side handle: process, pipe, last-acked fingerprint."""
+    """Parent-side handle: process, pipe, last-acked fingerprint, and
+    how long the parent waits on its replies."""
 
-    __slots__ = ("process", "conn", "fingerprint")
+    __slots__ = ("process", "conn", "fingerprint", "stall_wait_s", "wait_s")
 
     def __init__(self, process, conn: Connection) -> None:
         self.process = process
         self.conn = conn
         self.fingerprint: Optional[str] = None
+        #: the parent's wait on the next sub-batch, while a chaos stall
+        #: is armed on this worker (None = no stall armed)
+        self.stall_wait_s: Optional[float] = None
+        #: the parent's wait on the reply it has outstanding
+        self.wait_s = 0.0
 
 
 class InferenceWorkerPool:
@@ -634,6 +646,10 @@ class InferenceWorkerPool:
         for worker, (kind, *payload) in zip(workers, messages):
             self._task_counter += 1
             task_id = self._task_counter
+            worker.wait_s = self.timeout_s
+            if kind != "plan" and worker.stall_wait_s is not None:
+                # an armed stall fires on this request
+                worker.wait_s, worker.stall_wait_s = worker.stall_wait_s, None
             try:
                 worker.conn.send((kind, task_id, *payload))
             except (BrokenPipeError, OSError) as exc:
@@ -742,14 +758,18 @@ class InferenceWorkerPool:
         return self._chaos_send(index, ("chaos-die-on-run",))
 
     def chaos_arm_worker_stall(
-        self, index: int = 0, stall_s: Optional[float] = None
+        self, index: int = 0, stall_s: float = _CHAOS_STALL_S
     ) -> bool:
-        """Arm worker ``index`` to wait past the pool timeout before
-        answering its next sub-batch (the slow-worker path); it exits
-        instead if the pool's end of its pipe closes first."""
-        if stall_s is None:
-            stall_s = self.timeout_s * 2.0
-        return self._chaos_send(index, ("chaos-stall-on-run", float(stall_s)))
+        """Arm worker ``index`` to stall ``stall_s`` before answering its
+        next sub-batch (the slow-worker path); it exits instead if the
+        pool's end of its pipe closes first.  The parent waits on that
+        sub-batch for half the stall (at most ``timeout_s``), so the
+        stall always outlasts the wait."""
+        if not self._chaos_send(index, ("chaos-stall-on-run", float(stall_s))):
+            return False
+        worker = self._workers[index % len(self._workers)]
+        worker.stall_wait_s = min(self.timeout_s, stall_s / 2.0)
+        return True
 
     def chaos_corrupt_pipe(self, index: int = 0) -> bool:
         """Make worker ``index`` emit an unsolicited reply now, so the
@@ -963,12 +983,12 @@ class InferenceWorkerPool:
         Each pending worker holds at most one outstanding reply (to a
         sub-batch or a plan); drain it so the next call starts from
         clean pipes, and discard any worker that cannot be drained
-        within the timeout (``_sync_workers`` respawns a replacement on
-        the next call).
+        within the parent's wait on it (``_sync_workers`` respawns a
+        replacement on the next call).
         """
         for worker in pending:
             try:
-                if worker.conn.poll(self.timeout_s):
+                if worker.conn.poll(worker.wait_s):
                     worker.conn.recv()
                 else:
                     self._discard_worker(worker)
@@ -989,9 +1009,9 @@ class InferenceWorkerPool:
             pass
 
     def _recv(self, worker: _Worker) -> tuple:
-        if not worker.conn.poll(self.timeout_s):
+        if not worker.conn.poll(worker.wait_s):
             raise WorkerPoolError(
-                f"timed out after {self.timeout_s:.0f}s waiting on worker"
+                f"timed out after {worker.wait_s:g}s waiting on worker"
             )
         try:
             return worker.conn.recv()

@@ -10,16 +10,16 @@ Two families of kernels live here:
 * **Training kernels** (``conv2d_forward`` / ``conv2d_backward``,
   ``maxpool2d_forward`` / ``maxpool2d_backward``, ...) retain whatever
   the backward pass needs (the im2col matrix, argmax indices).
-* **Inference kernels** (``gemm_columns``, ``maxpool2d_infer``, ...)
+* **Inference kernels** (``gemm_columns``, ``maxpool_by_taps``, ...)
   retain nothing.  They additionally take shortcuts the training path
   cannot: a 1x1 convolution skips im2col entirely (reshape + batched
   GEMM — most of PercivalNet's FLOPs are 1x1 squeeze/expand convs), the
   general case unrolls receptive fields through a zero-copy strided
-  view, and ReLU runs in place.  The compiled plan
-  (:mod:`repro.nn.inference`) composes them into its convolution ops:
-  one GEMM over the ``gemm_columns`` operand, any fused max-pool, then
-  bias and ReLU in place.  Each kernel allocates its own result and
-  never writes its input.
+  view, max-pooling is separable, and ReLU runs in place.  The
+  compiled plan (:mod:`repro.nn.inference`) composes them into its
+  convolution ops: one GEMM over the ``gemm_columns`` operand, any
+  fused max-pool, then bias and ReLU in place.  Each kernel allocates
+  its own result and never writes its input.
 
 All kernels take and return NCHW arrays.
 """
@@ -307,52 +307,6 @@ def _window_view(
     )
 
 
-def sliding_windows(
-    images: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Zero-copy view of all receptive fields.
-
-    Returns a read-only ``(N, C, out_h, out_w, kh, kw)`` view — no data
-    is moved (beyond the pad copy when ``pad > 0``, or a contiguous
-    copy of a non-contiguous input).  :func:`im2col_strided` reshapes
-    it into the classic row-major im2col matrix.
-    """
-    out_h = conv_output_size(images.shape[2], kernel_h, stride, pad)
-    out_w = conv_output_size(images.shape[3], kernel_w, stride, pad)
-    windows = _window_view(
-        pad2d(images, pad), kernel_h, kernel_w, stride, out_h, out_w
-    ).transpose(0, 1, 4, 5, 2, 3)
-    windows.flags.writeable = False
-    return windows
-
-
-def im2col_strided(
-    images: np.ndarray,
-    kernel_h: int,
-    kernel_w: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """:func:`im2col`-compatible matrix built from a strided view.
-
-    Produces the identical ``(N * out_h * out_w, C * kh * kw)`` layout
-    but replaces the python loop over kernel offsets with one reshape of
-    the :func:`sliding_windows` view (a single fused copy).  Kept as
-    the drop-in fast equivalent of :func:`im2col` for verification and
-    external callers; :func:`gemm_columns` gathers windows into a
-    batched-matmul layout instead (whole-row copy runs — faster).
-    """
-    windows = sliding_windows(images, kernel_h, kernel_w, stride, pad)
-    batch, channels, out_h, out_w = windows.shape[:4]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel_h * kernel_w
-    )
-
-
 def gemm_columns(
     images: np.ndarray,
     kernel_h: int,
@@ -418,9 +372,18 @@ def maxpool_taps(
     kernel: int, stride: int, height: int, width: int
 ) -> Tuple[tuple, tuple]:
     """The index tuples of a separable max-pool over an ``height`` x
-    ``width`` map: one per row tap, then one per column tap (see
-    :func:`maxpool2d_infer`).  They index the two spatial axes only,
-    so one pair serves every batch size."""
+    ``width`` map: one per row tap, then one per column tap.  They
+    index the two spatial axes only, so one pair serves every batch
+    size.
+
+    A window's max is the max over its rows of each row's max, so the
+    k row taps reduce first (to the output rows, over the columns the
+    windows cover) and the k column taps second: 2(k - 1)
+    ``np.maximum`` calls instead of the k*k - 1 a per-window-offset
+    accumulation needs — a 2x2/2 pool is exactly two, read straight
+    from strided views.  Max is exact, so the output is bitwise equal
+    to the window-tile reduction.
+    """
     out_h = conv_output_size(height, kernel, stride, 0)
     out_w = conv_output_size(width, kernel, stride, 0)
     span = stride * (out_w - 1) + kernel
@@ -442,24 +405,6 @@ def maxpool_by_taps(
     """Max-pool an NCHW batch through :func:`maxpool_taps`' index
     tuples, into a fresh array."""
     return _max_of_taps(_max_of_taps(images, row_taps), col_taps)
-
-
-def maxpool2d_infer(
-    images: np.ndarray, kernel: int, stride: int
-) -> np.ndarray:
-    """Max pooling without argmax retention, done separably.
-
-    A window's max is the max over its rows of each row's max, so the
-    k row taps reduce first (to the output rows, over the columns the
-    windows cover) and the k column taps second: 2(k - 1)
-    ``np.maximum`` calls instead of the k*k - 1 a per-window-offset
-    accumulation needs — a 2x2/2 pool is exactly two, read straight
-    from strided views.  Max is exact, so the output is bitwise equal
-    to the window-tile reduction.
-    """
-    return maxpool_by_taps(
-        images, *maxpool_taps(kernel, stride, *images.shape[2:])
-    )
 
 
 def avgpool2d_infer(

@@ -13,8 +13,9 @@ worker-death     arms one pool worker to exit the next time it receives
                  a sub-batch — the parent sees EOF *mid-gather*, raises
                  ``WorkerPoolError``, and the blocker falls back
                  in-process (the deterministic mid-batch kill)
-worker-stall     arms one worker to sleep past the pool timeout before
-                 replying (slow-worker timeout path)
+worker-stall     arms one worker to sleep past the parent's wait on it
+                 before replying (slow-worker timeout path, half a
+                 second of wall time)
 pipe-corrupt     makes one worker emit an unsolicited reply, so the
                  parent's next gather is out-of-sync and discards it
 publish-fail     the pool's next weight publication raises, and its

@@ -5,7 +5,7 @@ independent classification requests from many page sessions coalesce
 into shard-sized batches in front of one
 :class:`~repro.core.blocker.PercivalBlocker` (and, through it, the
 sharded worker pool).  See ``docs/serving.md`` for the architecture and
-the ``PERCIVAL_SERVE_*`` knobs.
+the :class:`~repro.core.config.ServeSettings` each front takes.
 
 * :class:`BatchQueue` — deadline-based coalescing (the simulator
   flushes on ``max_batch`` or ``max_wait_ms``; the asyncio front

@@ -258,7 +258,7 @@ class FleetSimulator:
         if initial_lanes < 1:
             raise ValueError("initial_lanes must be >= 1")
         self.blocker = blocker
-        self.settings = settings or ServeSettings.from_env()
+        self.settings = settings or ServeSettings()
         self.policy = policy or SLOPolicy()
         self.compute_model = compute_model
         self.initial_lanes = initial_lanes

@@ -255,7 +255,7 @@ class ServeLoop:
         resilience: "ResiliencePlane | None | bool" = None,
     ) -> None:
         self.blocker = blocker
-        self.settings = settings or ServeSettings.from_env()
+        self.settings = settings or ServeSettings()
         self.compute_model = (
             compute_model
             if compute_model is not None
@@ -511,7 +511,7 @@ class AsyncServeFront:
         resilience: "ResiliencePlane | None | bool" = None,
     ) -> None:
         self.blocker = blocker
-        self.settings = settings or ServeSettings.from_env()
+        self.settings = settings or ServeSettings()
         #: chaos here runs on the front's real-millisecond clock; the
         #: invariant it exercises is value-independence (every resolved
         #: future's P(ad) is fault-free-identical), not replay timing

@@ -32,11 +32,11 @@ queued request with fingerprint ``key``, the one a duplicate rides on.
 a popped request is never a leader.
 
 Admission control is part of the type: ``offer`` refuses requests past
-``max_depth`` (counted across every priority class) and counts them as
-shed.  A refused request is an explicit backpressure signal to the
-caller — the conservation invariant the property suite pins is "every
-submitted request is either answered or *visibly* shed", never silently
-dropped.
+``max_depth`` (counted across every priority class).  A refused request
+is an explicit backpressure signal to the caller, which counts it as
+shed on its :class:`~repro.serve.metrics.ServeStats` ledger — the
+conservation invariant the property suite pins is "every submitted
+request is either answered or *visibly* shed", never silently dropped.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ class BatchQueue:
         self._classes: Dict[int, Deque[Tuple[int, ServeRequest]]] = {}
         self._depth = 0
         self._seq = 0
-        #: requests refused at admission (explicit backpressure)
-        self.shed_count = 0
-        #: requests accepted over the queue's lifetime
-        self.accepted_count = 0
-        #: requests handed out in popped batches
-        self.flushed_count = 0
         #: fingerprint -> the queued request duplicates coalesce onto
         self._leaders: Dict[str, ServeRequest] = {}
 
@@ -166,13 +160,11 @@ class BatchQueue:
         if request.priority < 0:
             raise ValueError("priority must be >= 0")
         if self._depth >= self.settings.max_depth:
-            self.shed_count += 1
             return False
         self._seq += 1
         lane = self._classes.setdefault(request.priority, deque())
         lane.append((self._seq, request))
         self._depth += 1
-        self.accepted_count += 1
         self._leaders[request.key] = request
         return True
 
@@ -204,7 +196,6 @@ class BatchQueue:
             if self._leaders.get(request.key) is request:
                 del self._leaders[request.key]
             batch.append(request)
-        self.flushed_count += len(batch)
         return batch
 
     # ------------------------------------------------------------------

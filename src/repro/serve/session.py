@@ -8,11 +8,12 @@ same ad unit syndicated across sites — so cross-session memoization and
 fingerprint coalescing have something real to bite on.
 
 :class:`RenderServeBridge` is the hook that routes a renderer's
-async-mode decodes through the serve tier chain: misses enqueue during
-raster (paint never waits), and the page's pending frames classify in
-``max_batch``-sized chunks at drain time.  The bridge keeps
-one blocker across pages, so a creative classified while serving one
-page session answers every later session from the shared memo.
+async-mode decodes through the serve tier chain, one ``submit`` per
+frame: misses queue during raster (paint never waits), and the page's
+pending frames classify in ``max_batch``-sized chunks at drain time.
+The bridge keeps one blocker across pages, so a creative classified
+while serving one page session answers every later session from the
+shared memo.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cascade.provenance import FrameProvenance
-from repro.cascade.router import CascadeAudit, CascadeRouter
+from repro.cascade.router import CascadeRouter
 from repro.core.blocker import BlockDecision, PercivalBlocker
 from repro.core.config import ServeSettings
 from repro.serve.loop import ArrivalEvent, BatchComputeModel
@@ -297,10 +298,11 @@ class _ProvenanceSynth:
 class RenderServeBridge:
     """Routes a renderer's async-mode classification through batches.
 
-    The renderer calls :meth:`route` per decoded frame (the serve tier
-    chain's rule and memo tiers) and :meth:`enqueue` on a miss; the
-    frame paints immediately either way.  :meth:`drain` then classifies
-    everything pending in ``max_batch`` chunks through ``decide_many``
+    The renderer calls :meth:`submit` once per decoded frame: the
+    serve tier chain's rule and memo tiers answer it, or it is queued;
+    the frame paints immediately either way.  :meth:`drain` then
+    classifies everything pending in ``max_batch`` chunks through
+    ``decide_many``
     — one batched forward (sharded across the worker pool when the
     blocker holds one) instead of per-frame passes — and reports each
     frame's verdict with its amortized virtual cost for the renderer's
@@ -319,7 +321,7 @@ class RenderServeBridge:
         differ=None,
     ) -> None:
         self.blocker = blocker
-        self.settings = settings or ServeSettings.from_env()
+        self.settings = settings or ServeSettings()
         self.compute_model = BatchComputeModel.from_blocker(blocker)
         #: ``differ`` is the session-scoped snapshot differ; the
         #: renderer picks it up so revisits of a page inherit unchanged
@@ -334,76 +336,47 @@ class RenderServeBridge:
         #: enqueued requests, drained most-urgent first and FIFO within
         #: a priority class (``request_id`` is the enqueue sequence)
         self._pending: List[ServeRequest] = []
-        #: audit tickets opened by :meth:`route` for keys that memo-
-        #: missed, waiting to ride the next :meth:`enqueue` of that key
-        self._open_tickets: Dict[str, List[CascadeAudit]] = {}
         self.frames_enqueued = 0
         self.batches_flushed = 0
 
     @property
     def rule_hits(self) -> int:
-        """Frames answered by the cascade rule tiers via :meth:`route`."""
+        """Frames answered by the cascade rule tiers via :meth:`submit`."""
         return self._chain.stats.rule_hits
 
-    def route(
+    def submit(
         self,
         bitmap: np.ndarray,
         key: Optional[str] = None,
+        priority: int = PRIORITY_VIEWPORT,
         provenance: Optional[FrameProvenance] = None,
     ) -> Optional[Answer]:
-        """Cascade rule tier + shared memo, in serve-tier order.
+        """One decoded frame through the cascade rule tier and the
+        shared memo, in serve-tier order.
 
         Returns the :class:`~repro.serve.tiers.Answer` (``tier`` is
         ``"rule"`` or ``"memo"``), or ``None`` when the frame needs
-        compute — any open audit ticket then waits for the key's next
-        :meth:`enqueue` and settles at drain time.
-        """
-        request = ServeRequest(
-            request_id=-1,
-            session_id="",
-            key=key or "",
-            bitmap=bitmap,
-            arrival_ms=0.0,
-            provenance=provenance,
-        )
-        answered = self._chain.answer(request, 0.0)
-        if answered is None and request.audit is not None:
-            self._open_tickets.setdefault(request.key, []).append(
-                request.audit
-            )
-        return answered
-
-    def enqueue(
-        self,
-        bitmap: np.ndarray,
-        key: str,
-        priority: int = PRIORITY_VIEWPORT,
-        provenance: Optional[FrameProvenance] = None,
-    ) -> None:
-        """Queue a memo-missed frame for the next drain.
-
+        compute: the request the tiers probed, with any open audit
+        ticket, is then queued for the next :meth:`drain`.
         ``priority`` is the frame's provenance on the page: the
         renderer passes :data:`PRIORITY_VIEWPORT` for frames whose slot
         is inside the viewport and :data:`PRIORITY_BELOW_FOLD`
         otherwise, so the drain classifies what the user can see first.
         """
-        audit = None
-        tickets = self._open_tickets.get(key)
-        if tickets:
-            audit = tickets.pop(0)
-            if not tickets:
-                del self._open_tickets[key]
-        self._pending.append(ServeRequest(
+        request = ServeRequest(
             request_id=self.frames_enqueued,
             session_id="",
-            key=key,
+            key=key or "",
             bitmap=bitmap,
             arrival_ms=0.0,
             priority=priority,
             provenance=provenance,
-            audit=audit,
-        ))
-        self.frames_enqueued += 1
+        )
+        answered = self._chain.answer(request, 0.0)
+        if answered is None:
+            self._pending.append(request)
+            self.frames_enqueued += 1
+        return answered
 
     @property
     def depth(self) -> int:

@@ -19,10 +19,6 @@ CASES = {
         max((os.cpu_count() or 1) - 1, 0), ("3", 3), "many", (2, 2),
     ),
     "PERCIVAL_PRECISION": ("fp32", ("int8", "int8"), "int4", ("fp16", "fp16")),
-    "PERCIVAL_SERVE_MAX_BATCH": (16, ("32", 32), "lots", (4, 4)),
-    "PERCIVAL_SERVE_MAX_WAIT_MS": (4.0, ("7.5", 7.5), "soon", (1.0, 1.0)),
-    "PERCIVAL_SERVE_MAX_DEPTH": (128, ("256", 256), "deep", (64, 64)),
-    "PERCIVAL_SERVE_AGING_MS": (8.0, ("2.5", 2.5), "slow", (1.0, 1.0)),
     "PERCIVAL_SERVE_LANES": (None, ("3", 3), "many", (5, 5)),
     "PERCIVAL_CASCADE": (False, ("on", True), "maybe", (False, False)),
     "PERCIVAL_DIFF": (False, ("yes", True), "maybe", (False, False)),

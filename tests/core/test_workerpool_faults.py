@@ -14,6 +14,7 @@ while a flush is mid-scatter.  The invariants under test:
 * a keyless pooled ``decide_many`` (hash phase, then score phase)
   survives a fault armed before either phase the same way, and leaks no
   shared-memory segment,
+* a chaos stall costs a fraction of a second, not the pool timeout,
 * a stalled worker whose parent is killed exits instead of outliving
   it.
 """
@@ -366,6 +367,30 @@ class TestTwoPhaseFaults:
         for name in names:
             assert not glob.glob(f"/dev/shm/{name.lstrip('/')}")
         assert _shm_segments() <= segments_before
+
+
+class TestChaosStallCost:
+    def test_fired_stall_costs_under_two_seconds(self, untrained_classifier):
+        """At the pool's default 60 s timeout, a chaos stall still ends
+        in one fallback with reference verdicts, and a healed pool, in
+        well under the timeout: the parent's wait on a stalling worker
+        is half the stall."""
+        frames, later = _frames(8, seed=31), _frames(8, seed=32)
+        reference = PercivalBlocker(untrained_classifier, calibrated_latency_ms=1.0)
+        with InferenceWorkerPool(num_workers=2) as pool:
+            pool.publish(untrained_classifier)
+            blocker = _served_blocker(untrained_classifier, pool)
+            assert pool.chaos_arm_worker_stall(0)
+            started = time.monotonic()
+            decisions = blocker.decide_many(frames)
+            elapsed = time.monotonic() - started
+            assert elapsed < 2.0
+            assert blocker.pool_fallbacks == 1
+            assert decisions == reference.decide_many(frames)
+            # the stalled worker was discarded and is replaced
+            assert blocker.decide_many(later) == reference.decide_many(later)
+            assert blocker.pool_fallbacks == 1
+            assert pool.alive_workers == 2
 
 
 #: owns a 1-worker pool, arms a 30 s stall, prints the worker's pid and

@@ -98,20 +98,34 @@ class TestConvKernelEquivalence:
         assert np.abs(reference - fast).max() < 1e-5
 
 
-class TestIm2ColStrided:
+class TestGemmColumns:
     @pytest.mark.parametrize("kernel,stride,pad,size", CONV_GEOMETRIES)
     def test_matches_loop_im2col(self, kernel, stride, pad, size, rng):
+        """The plan's operand is the loop im2col matrix, laid out
+        ``(N, C*kh*kw, out_h*out_w)`` instead of row-major."""
         x = rng.standard_normal((2, 3, *size)).astype(np.float32)
+        out_h = F.conv_output_size(size[0], kernel, stride, pad)
+        out_w = F.conv_output_size(size[1], kernel, stride, pad)
+        columns = F.gemm_columns(
+            x, kernel, kernel, stride, pad, out_h, out_w
+        )
         assert np.array_equal(
             F.im2col(x, kernel, kernel, stride, pad),
-            F.im2col_strided(x, kernel, kernel, stride, pad),
+            columns.transpose(0, 2, 1).reshape(-1, columns.shape[1]),
         )
 
-    def test_sliding_windows_is_zero_copy(self, rng):
+    def test_window_view_is_zero_copy(self, rng):
         x = rng.standard_normal((1, 2, 6, 6)).astype(np.float32)
-        windows = F.sliding_windows(x, 3, 3, 1, 0)
+        windows = F._window_view(x, 3, 3, 1, 4, 4)
+        assert windows.shape == (1, 2, 3, 3, 4, 4)
         assert np.shares_memory(windows, x)
-        assert not windows.flags.writeable
+
+
+def _maxpool(x, kernel, stride):
+    """``x`` through the plan's separable max-pool."""
+    return F.maxpool_by_taps(
+        x, *F.maxpool_taps(kernel, stride, *x.shape[2:])
+    )
 
 
 class TestPoolKernelEquivalence:
@@ -119,9 +133,7 @@ class TestPoolKernelEquivalence:
     def test_maxpool_matches_reference(self, kernel, stride, size, rng):
         x = rng.standard_normal((2, 4, *size)).astype(np.float32)
         reference, _ = F.maxpool2d_forward(x, kernel, stride)
-        assert np.array_equal(
-            reference, F.maxpool2d_infer(x, kernel, stride)
-        )
+        assert np.array_equal(reference, _maxpool(x, kernel, stride))
 
     @pytest.mark.parametrize("kernel", [2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -137,7 +149,7 @@ class TestPoolKernelEquivalence:
             for tile in F._window_tiles(x, kernel, stride)
         ]
         reference = np.maximum.reduce(tiles)
-        fast = F.maxpool2d_infer(x, kernel, stride)
+        fast = _maxpool(x, kernel, stride)
         assert fast.flags.c_contiguous
         assert fast.tobytes() == reference.tobytes()
 
@@ -412,7 +424,7 @@ def _unfused(network, resolve, x):
         elif isinstance(layer, ReLU):
             x = np.maximum(x, 0.0)
         elif isinstance(layer, MaxPool2d):
-            x = F.maxpool2d_infer(x, layer.kernel_size, layer.stride)
+            x = _maxpool(x, layer.kernel_size, layer.stride)
         elif isinstance(layer, FireModule):
             squeezed = np.maximum(conv(layer.squeeze, x), 0.0)
             x = np.maximum(np.concatenate(

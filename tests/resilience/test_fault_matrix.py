@@ -32,6 +32,7 @@ from repro.serve import (
     PRIORITY_VIEWPORT,
     ArrivalEvent,
     AsyncServeFront,
+    RenderServeBridge,
     ServeLoop,
     ServeOverloadError,
 )
@@ -394,3 +395,20 @@ class TestAcceptanceScenario:
         downs, ups = _ladder_counts(plane)
         assert downs >= 2, plane.controller.transitions
         assert ups >= 2, plane.controller.transitions
+
+
+class TestBridgeStaysUnguarded:
+    def test_chaos_and_resilience_knobs_leave_the_bridge_plain(
+        self, untrained_classifier, monkeypatch
+    ):
+        """The renderer bridge takes no chaos schedule and no plane,
+        whatever the environment: with both knobs on, the asyncio front
+        is guarded and the bridge's chain is not."""
+        monkeypatch.setenv("PERCIVAL_CHAOS", "7")
+        monkeypatch.setenv("PERCIVAL_RESILIENCE", "on")
+        blocker = _blocker(untrained_classifier)
+        assert AsyncServeFront(blocker, SETTINGS)._chain.guarded
+        chain = RenderServeBridge(blocker, SETTINGS)._chain
+        assert chain.plane is None
+        assert chain.cursor is None
+        assert not chain.guarded

@@ -186,10 +186,6 @@ def test_requests_are_conserved(config, schedule):
         r.request_id for r in admitted
     )
     assert len({r.request_id for r in popped_flat}) == len(popped_flat)
-    # the queue's own ledger agrees
-    assert queue.accepted_count == len(admitted)
-    assert queue.shed_count == len(shed)
-    assert queue.flushed_count == len(popped_flat)
     assert queue.depth == 0
 
 
@@ -314,9 +310,6 @@ def test_priority_conservation_and_bounds(config, schedule):
         r.request_id for r in admitted
     )
     assert len({r.request_id for r in popped_flat}) == len(popped_flat)
-    assert queue.accepted_count == len(admitted)
-    assert queue.shed_count == len(shed)
-    assert queue.flushed_count == len(popped_flat)
     assert queue.depth == 0
     assert all(queue.leader(key) is None for key in _KEYS)
 
@@ -437,8 +430,7 @@ def test_extreme_aging_over_diff_residue_streams(
     assert sorted(r.request_id for r in flat) == [
         r.request_id for r in requests
     ]
-    assert queue.flushed_count == queue.accepted_count == len(requests)
-    assert queue.depth == 0 and queue.shed_count == 0
+    assert queue.depth == 0
     if aging_ms <= 1e-3:
         # everything matured past every class boundary: strict FIFO
         assert [r.request_id for r in flat] == [

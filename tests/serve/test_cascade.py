@@ -284,6 +284,23 @@ def test_coalesced_riders_feed_the_healer_once_async():
     assert not rule.invalidated
 
 
+def test_bridge_queues_the_request_its_tiers_audited():
+    """A bridge miss queues the very request the tiers probed, so the
+    rule's open audit ticket rides it into the drain."""
+    router, rule, events = _coalesced_audit_setup()
+    bridge = RenderServeBridge(_blocker(), SETTINGS, cascade=router)
+    event = events[0]
+    assert bridge.submit(event.bitmap, provenance=event.provenance) is None
+    assert rule.audits == 1
+    (queued,) = bridge._pending
+    assert queued.bitmap is event.bitmap
+    assert queued.key == bridge.blocker.fingerprint(event.bitmap)
+    assert queued.audit is not None
+    assert queued.audit.rule_key == rule.key
+    bridge.drain()
+    assert rule.agreements + rule.disagreements == 1
+
+
 def test_coalesced_riders_feed_the_healer_once_bridge():
     """The renderer bridge's drain obeys the same law: four enqueued
     copies of one audited frame in one chunk are one computed verdict,
@@ -292,10 +309,9 @@ def test_coalesced_riders_feed_the_healer_once_bridge():
     bridge = RenderServeBridge(_blocker(), SETTINGS, cascade=router)
     for event in events:
         key = bridge.blocker.fingerprint(event.bitmap)
-        assert bridge.route(
-            event.bitmap, key=key, provenance=event.provenance
+        assert bridge.submit(
+            event.bitmap, key, provenance=event.provenance
         ) is None
-        bridge.enqueue(event.bitmap, key, provenance=event.provenance)
     decisions = bridge.drain()
     assert len(decisions) == len(events)
     assert bridge.batches_flushed == 1

@@ -15,6 +15,7 @@ from repro.serve import (
     PRIORITY_BELOW_FOLD,
     PRIORITY_VIEWPORT,
     ArrivalEvent,
+    RenderServeBridge,
     ServeLoop,
     TrafficSpec,
     synthesize_traffic,
@@ -238,3 +239,34 @@ class TestPriorityScheduling:
         assert set(by_priority) == {PRIORITY_VIEWPORT, PRIORITY_BELOW_FOLD}
         answered = len(report.answered)
         assert sum(s.count for s in by_priority.values()) == answered
+
+
+class TestBridgeDrainOrder:
+    def test_drain_is_viewport_first_then_submit_order(
+        self, untrained_classifier, monkeypatch
+    ):
+        """The bridge drains by ``(priority, submit sequence)`` in
+        ``max_batch`` chunks, whatever order the page decoded in."""
+        blocker = _blocker(untrained_classifier)
+        bridge = RenderServeBridge(blocker, ServeSettings(max_batch=2))
+        rng = np.random.default_rng(5)
+        frames = [rng.random((12, 14, 4)).astype(np.float32)
+                  for _ in range(4)]
+        batches = []
+        decide_many = blocker.decide_many
+
+        def spy(bitmaps, keys=None):
+            batches.append([
+                next(i for i, frame in enumerate(frames) if frame is bitmap)
+                for bitmap in bitmaps
+            ])
+            return decide_many(bitmaps, keys=keys)
+
+        monkeypatch.setattr(blocker, "decide_many", spy)
+        for frame, priority in zip(frames, (
+            PRIORITY_BELOW_FOLD, PRIORITY_VIEWPORT,
+            PRIORITY_BELOW_FOLD, PRIORITY_VIEWPORT,
+        )):
+            assert bridge.submit(frame, priority=priority) is None
+        assert len(bridge.drain()) == 4
+        assert batches == [[1, 3], [0, 2]]

@@ -16,7 +16,9 @@ from repro.serve import (
     ArrivalEvent,
     AsyncServeFront,
     BatchComputeModel,
+    FleetSimulator,
     LatencySummary,
+    RenderServeBridge,
     ServeLoop,
     ServeOverloadError,
     TrafficSpec,
@@ -388,34 +390,19 @@ class TestServeKnobs:
         loop = ServeLoop(_blocker(untrained_classifier), explicit)
         assert loop.settings is explicit
 
-    def test_env_knobs_resolve(self, monkeypatch):
-        monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "32")
-        monkeypatch.setenv("PERCIVAL_SERVE_MAX_WAIT_MS", "7.5")
-        monkeypatch.setenv("PERCIVAL_SERVE_MAX_DEPTH", "256")
-        settings = ServeSettings.from_env()
-        assert settings.max_batch == 32
-        assert settings.max_wait_ms == 7.5
-        assert settings.max_depth == 256
-
-    def test_defaults_when_unset(self, monkeypatch):
-        for name in (
-            "PERCIVAL_SERVE_MAX_BATCH",
-            "PERCIVAL_SERVE_MAX_WAIT_MS",
-            "PERCIVAL_SERVE_MAX_DEPTH",
-            "PERCIVAL_SERVE_AGING_MS",
-            "PERCIVAL_SERVE_LANES",
-        ):
-            monkeypatch.delenv(name, raising=False)
-        assert ServeSettings.from_env() == ServeSettings()
-        assert knob("PERCIVAL_SERVE_LANES") is None
-
-    def test_invalid_env_raises_with_name(self, monkeypatch):
-        # a parse error, a floor error, and a cross-field error
-        # (max_depth defaults to 128 < 200) all name the variable
-        for raw in ("lots", "0", "200"):
-            monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", raw)
-            with pytest.raises(ValueError, match="PERCIVAL_SERVE_MAX_BATCH"):
-                ServeSettings.from_env()
+    @pytest.mark.parametrize("front", [
+        ServeLoop, AsyncServeFront, RenderServeBridge, FleetSimulator,
+    ])
+    def test_batching_settings_ignore_the_environment(
+        self, front, untrained_classifier, monkeypatch
+    ):
+        """Only ``lanes`` has a knob: a front built without settings
+        uses the ``ServeSettings`` defaults whatever the environment
+        says about the other fields."""
+        for name in ("MAX_BATCH", "MAX_WAIT_MS", "MAX_DEPTH", "AGING_MS"):
+            monkeypatch.setenv(f"PERCIVAL_SERVE_{name}", "lots")
+        built = front(_blocker(untrained_classifier))
+        assert built.settings == ServeSettings()
 
     def test_lanes_env_knob(self, monkeypatch):
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "3")
@@ -430,10 +417,6 @@ class TestServeKnobs:
         monkeypatch.setenv("PERCIVAL_SERVE_LANES", "many")
         with pytest.raises(ValueError, match="PERCIVAL_SERVE_LANES"):
             knob("PERCIVAL_SERVE_LANES")
-
-    def test_aging_env_knob(self, monkeypatch):
-        monkeypatch.setenv("PERCIVAL_SERVE_AGING_MS", "2.5")
-        assert ServeSettings.from_env().aging_ms == 2.5
 
     def test_invalid_combinations_rejected(self):
         with pytest.raises(ValueError):

@@ -124,20 +124,17 @@ def _async_outcomes(blocker, events, **tiers):
 
 def _bridge_outcomes(blocker, events, cascade):
     """The same through ``RenderServeBridge``, the way the renderer's
-    async hook drives it: route, and on a miss enqueue and drain."""
+    async hook drives it: submit, and on a miss drain."""
     bridge = RenderServeBridge(blocker, SETTINGS, cascade=cascade)
     outcomes = []
     for event in events:
         key = bridge.blocker.fingerprint(event.bitmap)
-        answered = bridge.route(
-            event.bitmap, key=key, provenance=event.provenance
+        answered = bridge.submit(
+            event.bitmap, key, event.priority, event.provenance
         )
         if answered is not None:
             outcomes.append((answered.tier, answered.decision.probability))
             continue
-        bridge.enqueue(
-            event.bitmap, key, event.priority, provenance=event.provenance
-        )
         ((decision, _),) = bridge.drain()
         outcomes.append(("model", decision.probability))
     return outcomes

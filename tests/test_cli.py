@@ -38,12 +38,6 @@ class TestCli:
                         "crawl"):
             assert command in out
 
-    def test_bad_serve_env_leaves_other_commands_alone(self, monkeypatch):
-        monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "lots")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["crawl", "--help"])
-        assert exit_info.value.code == 0
-
 
 RULE_HITS = "rule hits (cascade, no queue entry)"
 DIFF_HITS = "diff hits (snapshot verdict, no hash)"
@@ -62,6 +56,15 @@ _SERVE_SIM = [
 
 
 class TestServeSimFlags:
+    def test_stale_batching_env_is_ignored(
+        self, capsys, monkeypatch, reference_classifier
+    ):
+        """Batching settings come from flags over the ``ServeSettings``
+        defaults; a leftover ``PERCIVAL_SERVE_MAX_BATCH`` is not read."""
+        monkeypatch.setenv("PERCIVAL_SERVE_MAX_BATCH", "lots")
+        assert main(_SERVE_SIM + ["--max-batch", "4"]) == 0
+        assert "requests submitted" in capsys.readouterr().out
+
     def test_flags_beat_the_environment(
         self, capsys, monkeypatch, reference_classifier
     ):
