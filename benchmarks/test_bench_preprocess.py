@@ -7,15 +7,18 @@ writing each frame straight into the NCHW batch) produces exactly the
 tensors of the scipy-based pipeline it replaced, at least 2x faster.
 
 The frames are one 64-frame bulk call's worth of synthesized traffic
-(the shapes a crawl's ``decide_many`` sees).  Both sides are timed in
+(the shapes a crawl's ``decide_many`` sees).  The traffic's frames are
+decoded ``uint8`` bytes; the kernel check converts them to floats once,
+untimed, with preprocessing's own expression, so it times the float
+kernel against the float scipy pipeline.  Both sides are timed in
 interleaved best-of rounds, so a slow stretch of a shared host lands on
 both alike.
 
-``test_decoded_frame_path`` sends the same frames through the wire
-formats their URLs pick (``format_for_url``) and back, and records
-what one decoded ``uint8`` frame costs to hold, decode, fingerprint
-and preprocess (trend-only), after checking its tensors against the
-float path's.
+``test_decoded_frame_path`` sends the traffic's ``uint8`` frames
+through the wire formats their URLs pick (``format_for_url``) and
+back, and records what one decoded frame costs to hold, decode,
+fingerprint and preprocess (trend-only), after checking its tensors
+against the float path's.
 
 Marked ``bench_smoke``; ``PERCIVAL_BENCH_ROUNDS`` trims the rounds.
 """
@@ -67,7 +70,7 @@ def _events():
 @pytest.mark.bench_smoke
 def test_preprocess_kernel(reference_classifier, report_table, bench_record):
     size = reference_classifier.config.input_size
-    bitmaps = [event.bitmap for event in _events()]
+    bitmaps = [event.bitmap.astype(np.float32) / 255.0 for event in _events()]
 
     kernel = preprocess_batch(bitmaps, size)
     scipy = _scipy_preprocess_batch(bitmaps, size)

@@ -10,7 +10,8 @@ actually round-trips pixels through real encoders:
 * ``QUANT`` — 5-bit quantization + zlib (JPEG-flavoured, lossy).
 
 ``encode_image`` takes float32 RGBA renders in [0, 1] and quantizes
-them to 8 bits per channel for the wire; ``decode_image`` hands back
+them to 8 bits per channel for the wire (a ``uint8`` frame is already
+those bytes and goes on the wire as it is); ``decode_image`` hands back
 those ``uint8`` (H, W, 4) RGBA bytes as they were decompressed, the
 N32 bitmap Skia's decode step fills (§3.2).  Preprocessing is where a
 decoded frame first becomes floats.  Each format carries a relative
@@ -64,8 +65,11 @@ class EncodedImage:
 
 
 def _to_uint8(pixels: np.ndarray) -> np.ndarray:
+    """The 8-bit RGBA bytes of a [0, 1] render; ``uint8`` passes as is."""
     if pixels.ndim != 3 or pixels.shape[2] != 4:
         raise ValueError("expected (H, W, 4) RGBA pixels")
+    if pixels.dtype == np.uint8:
+        return pixels
     return np.clip(pixels * 255.0, 0, 255).astype(np.uint8)
 
 
@@ -99,7 +103,11 @@ def _rle_decode(data: bytes) -> bytes:
 
 
 def encode_image(pixels: np.ndarray, fmt: ImageFormat) -> EncodedImage:
-    """Encode RGBA float pixels into the given wire format."""
+    """Encode RGBA pixels into the given wire format.
+
+    A float render in [0, 1] is quantized to 8 bits per channel; a
+    ``uint8`` frame is encoded byte for byte.
+    """
     raw = _to_uint8(pixels)
     height, width = raw.shape[:2]
     flat = raw.tobytes()

@@ -94,9 +94,16 @@ def synthesize_traffic(spec: Optional[TrafficSpec] = None) -> List[ArrivalEvent]
     the calibration gate and training corpus use), and arrival times
     are virtual milliseconds — the trace replays identically for a
     given spec, so simulation assertions can be exact.
+
+    Each frame is the decoder's bytes: a ``uint8`` (H, W, 4) RGBA
+    array, the 8-bit quantization of its render, as Skia hands a
+    decoded bitmap to PERCIVAL.  A creative is converted once when it
+    is drawn, so every event that shows it (a shared creative, a
+    revisit) carries the same array object.
     """
     # leaf import: the synth generators stay out of serve's import graph
     # for deployments that only use the asyncio front door
+    from repro.browser.codecs import _to_uint8
     from repro.synth.adgen import AdSpec, generate_ad
     from repro.synth.contentgen import generate_content
 
@@ -108,9 +115,9 @@ def synthesize_traffic(spec: Optional[TrafficSpec] = None) -> List[ArrivalEvent]
     shared: List[np.ndarray] = []
     for index in range(spec.shared_creatives):
         if index % 2 == 0:
-            shared.append(generate_ad(rng, AdSpec()))
+            shared.append(_to_uint8(generate_ad(rng, AdSpec())))
         else:
-            shared.append(generate_content(rng))
+            shared.append(_to_uint8(generate_content(rng)))
 
     events: List[ArrivalEvent] = []
     # per-session slot state, kept so revisit epochs can re-emit the
@@ -131,12 +138,12 @@ def synthesize_traffic(spec: Optional[TrafficSpec] = None) -> List[ArrivalEvent]
                 is_ad_frame = shared_index % 2 == 0
                 content_key = f"s{shared_index:03d}"
             elif rng.uniform() < spec.ad_fraction:
-                bitmap = generate_ad(rng, AdSpec())
+                bitmap = _to_uint8(generate_ad(rng, AdSpec()))
                 is_ad_frame = True
                 fresh_serial += 1
                 content_key = f"c{fresh_serial:06d}"
             else:
-                bitmap = generate_content(rng)
+                bitmap = _to_uint8(generate_content(rng))
                 is_ad_frame = False
                 fresh_serial += 1
                 content_key = f"c{fresh_serial:06d}"
@@ -183,9 +190,9 @@ def synthesize_traffic(spec: Optional[TrafficSpec] = None) -> List[ArrivalEvent]
                             revisit_rng.uniform() < spec.ad_fraction
                         )
                         if is_ad_frame:
-                            bitmap = generate_ad(revisit_rng, AdSpec())
+                            bitmap = _to_uint8(generate_ad(revisit_rng, AdSpec()))
                         else:
-                            bitmap = generate_content(revisit_rng)
+                            bitmap = _to_uint8(generate_content(revisit_rng))
                         fresh_serial += 1
                         content_key = f"c{fresh_serial:06d}"
                         provenance = slot[2]

@@ -45,6 +45,24 @@ class TestRoundTrips:
         assert encoded.pixel_count == 12 * 18
 
 
+class TestUint8Frames:
+    """A decoded frame is already the wire bytes: no second scaling."""
+
+    @pytest.mark.parametrize("fmt", list(ImageFormat))
+    def test_uint8_frame_encodes_byte_for_byte(self, fmt):
+        frame = np.arange(256, dtype=np.uint8).reshape(8, 8, 4)
+        decoded = decode_image(encode_image(frame, fmt))
+        assert decoded.dtype == np.uint8
+        expected = (frame >> 3) << 3 if fmt is ImageFormat.QUANT else frame
+        np.testing.assert_array_equal(decoded, expected)
+
+    @pytest.mark.parametrize("fmt", list(ImageFormat))
+    def test_decoded_frame_reencodes_to_same_payload(self, pixels, fmt):
+        encoded = encode_image(pixels, fmt)
+        reencoded = encode_image(decode_image(encoded), fmt)
+        assert reencoded.payload == encoded.payload
+
+
 class TestCompression:
     def test_deflate_compresses_flat_images(self):
         flat = np.full((32, 32, 4), 0.5, dtype=np.float32)
