@@ -491,9 +491,10 @@ class AdClassifier:
     def measured_latency_ms(self, repeats: int = 5) -> float:
         """Median wall-clock per-image inference latency (preprocessing
         included), measured on this machine — the §5.7 calibration input.
+        It times the frame the blocker serves: 8-bit RGBA, as decoded.
         """
         rng = np.random.default_rng(0)
-        bitmap = rng.random((64, 64, 4)).astype(np.float32)
+        bitmap = rng.integers(0, 256, size=(64, 64, 4), dtype=np.uint8)
         return measure_latency(
             lambda: self.is_ad(bitmap), repeats=repeats, warmup=2
         )

@@ -111,6 +111,7 @@ before.
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing as mp
 import time
 from contextlib import contextmanager
@@ -211,12 +212,18 @@ def _worker_main(conn: Connection, inherited: Sequence[Connection]) -> None:
     parent's end closes meanwhile), and ``chaos-echo`` emits an
     unsolicited reply immediately (the parent's next gather goes
     out-of-sync and discards this worker's pipe).
+
+    The worker freezes everything it inherited before it serves, so its
+    collections walk only what it allocates itself: a full collection
+    over the inherited heap would write every object's GC header and
+    make copy-on-write duplicate the parent's object pages.
     """
     # a forked worker starts with copies of the parent's pipe ends (its
     # own and its siblings'); while it holds them, the parent's death
     # never reads as EOF here
     for parent_end in inherited:
         parent_end.close()
+    gc.freeze()
     classifier: Optional[AdClassifier] = None
     frames: Optional[shared_memory.SharedMemory] = None
     die_on_run = False

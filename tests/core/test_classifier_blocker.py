@@ -71,6 +71,23 @@ class TestAdClassifier:
     def test_latency_positive(self, reference_classifier):
         assert reference_classifier.measured_latency_ms(repeats=1) > 0
 
+    def test_latency_times_the_served_frame(self, reference_classifier, monkeypatch):
+        # the calibration times the decoder's 8-bit RGBA frame, so it
+        # pays the same uint8 -> float conversion a served frame pays
+        seen = []
+        real_is_ad = reference_classifier.is_ad
+
+        def spy(bitmap):
+            seen.append(bitmap)
+            return real_is_ad(bitmap)
+
+        monkeypatch.setattr(reference_classifier, "is_ad", spy)
+        reference_classifier.measured_latency_ms(repeats=1)
+        assert seen
+        for bitmap in seen:
+            assert bitmap.dtype == np.uint8
+            assert bitmap.ndim == 3 and bitmap.shape[2] == 4
+
 
 class TestPercivalBlocker:
     def test_implements_renderer_protocol(self, reference_classifier,

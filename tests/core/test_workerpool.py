@@ -11,6 +11,7 @@ import glob
 import itertools
 import multiprocessing as mp
 import os
+import sys
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.core import (
     configured_worker_count,
     preprocess_batch,
 )
-from repro.core.workerpool import _split
+from repro.core.workerpool import _split, _worker_main
 from repro.utils.hashing import image_fingerprint
 
 
@@ -811,6 +812,63 @@ class TestTeardown:
         for index in range(5):
             cycle(kill=index == 2)
         assert open_descriptors() <= before
+
+
+def _private_mb() -> float:
+    """This process's private memory (clean + dirty), in MiB."""
+    private_kb = 0
+    with open("/proc/self/smaps_rollup", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith(("Private_Clean:", "Private_Dirty:")):
+                private_kb += int(line.split()[1])
+    return private_kb / 1024.0
+
+
+def _serve_then_collect(conn, report) -> None:
+    """A forked worker's life, then a full collection: reports the
+    freeze count and private memory before and after that collection."""
+    _worker_main(conn, ())
+    before = _private_mb()
+    gc.collect()
+    report.send((gc.get_freeze_count(), before, _private_mb()))
+    report.close()
+
+
+class TestInheritedHeap:
+    @pytest.mark.skipif(
+        "fork" not in mp.get_all_start_methods()
+        or not os.path.exists("/proc/self/smaps_rollup"),
+        reason="needs fork and /proc/self/smaps_rollup",
+    )
+    def test_full_collection_leaves_inherited_pages_shared(self):
+        """A worker freezes what it inherited, so a full collection in
+        it walks none of the parent's objects.  Unfrozen, that walk
+        writes every inherited object's GC header, and copy-on-write
+        duplicates the parent's object pages in the worker."""
+        heap = [[index] for index in range(500_000)]
+        heap_mb = len(heap) * sys.getsizeof(heap[0]) / 2**20
+        ctx = mp.get_context("fork")
+        conn, child_conn = ctx.Pipe()
+        report_recv, report_send = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_serve_then_collect, args=(child_conn, report_send)
+        )
+        try:
+            process.start()
+            child_conn.close()
+            report_send.close()
+            conn.send(("stop",))
+            assert report_recv.poll(60.0), "worker never reported"
+            frozen, before_mb, after_mb = report_recv.recv()
+        finally:
+            conn.close()
+            report_recv.close()
+            process.join(10.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        assert frozen >= len(heap)
+        assert after_mb - before_mb < heap_mb / 8
 
 
 class TestResize:
